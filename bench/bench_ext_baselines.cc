@@ -21,7 +21,8 @@
 #include "bpred/ppm.hh"
 #include "bpred/simulate.hh"
 #include "bpred/trainer.hh"
-#include "sim/nested_sweep.hh"
+#include "sim/sweep.hh"
+#include "support/sud_counter.hh"
 #include "workloads/trace_cache.hh"
 
 #include "bench_common.hh"
@@ -128,15 +129,11 @@ ppmSection(size_t branches)
         const BranchTrace &train = *train_trace;
         const BranchTrace &test = *test_trace;
 
-        // The XScale column is a single-config BTB sweep point; the
-        // nested engine services it bit-identically to the virtual
-        // XScaleBtb walk at kernel speed.
-        NestedSweepRequest btb_request;
-        btb_request.btb.push_back(BtbConfig{});
+        // The XScale column: the baseline BTB stepped over the packed
+        // test trace (same decisions as its virtual predict/update).
+        XScaleBtb btb;
         const double base =
-            nestedSweep(btb_request, *cachedPackedTrace(test_trace))
-                .btb[0]
-                .result.missRate();
+            sweepKernel(btb, *cachedPackedTrace(test_trace)).missRate();
 
         PpmPredictor ppm;
         const double ppm_rate =

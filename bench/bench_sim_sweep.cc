@@ -1,12 +1,15 @@
 /**
  * @file
- * Benchmarks the single-pass sweep engine (sim/sweep.hh) against a
- * faithful replica of the seed Figure-5 evaluation: per-point virtual
- * simulateBranchPredictor sweeps and the AoS all-machines-per-record
- * custom curve, traces rebuilt per run as the seed did. Both paths
- * share one untimed training pass; the engine path draws its traces
- * from the process-wide cache. Results must be bit-identical or the
- * bench aborts.
+ * Benchmarks the Figure-5 evaluation engine (evaluateFigure5: the
+ * nested-index size sweep, the packed-trace BTB pass and the
+ * bit-sliced custom replay) against a per-point serial path: one
+ * virtual simulateBranchPredictor run per sweep point over the AoS
+ * trace - the same predictor classes, dispatched through the
+ * BranchPredictor interface one record at a time - and an AoS custom
+ * curve that steps every machine on every record, with traces rebuilt
+ * per run. Both paths share one untimed training pass; the engine path
+ * draws its traces from the process-wide cache. Results must be
+ * bit-identical or the bench aborts.
  *
  * Usage: bench_sim_sweep [branches_per_run] [json_out]
  *   branches_per_run  dynamic branches per trace (default 400000)
@@ -42,9 +45,9 @@ using namespace autofsm;
 namespace
 {
 
-/** The seed's customCurve: every machine stepped on every AoS record. */
+/** Serial custom curve: every machine stepped on every AoS record. */
 AreaMissSeries
-seedCustomCurve(const std::vector<TrainedBranch> &trained,
+serialCustomCurve(const std::vector<TrainedBranch> &trained,
                 const BranchTrace &trace, const BtbConfig &btb_config,
                 const std::string &label, const AreaCosts &costs)
 {
@@ -99,9 +102,9 @@ seedCustomCurve(const std::vector<TrainedBranch> &trained,
     return series;
 }
 
-/** The seed's evaluation: traces rebuilt, one virtual run per point. */
+/** Serial evaluation: traces rebuilt, one virtual run per point. */
 Fig5Benchmark
-seedEvaluate(const std::string &benchmark,
+serialEvaluate(const std::string &benchmark,
              const std::vector<TrainedBranch> &trained,
              const Fig5Options &options)
 {
@@ -143,10 +146,10 @@ seedEvaluate(const std::string &benchmark,
             {predictor.area(), r.missRate(), predictor.name()});
     }
 
-    result.customSame = seedCustomCurve(trained, train,
+    result.customSame = serialCustomCurve(trained, train,
                                         options.training.baseline,
                                         "custom-same", costs);
-    result.customDiff = seedCustomCurve(trained, test,
+    result.customDiff = serialCustomCurve(trained, test,
                                         options.training.baseline,
                                         "custom-diff", costs);
     return result;
@@ -204,8 +207,8 @@ main(int argc, char **argv)
     if (args.threadsSet)
         options.sweepThreads = args.threads;
 
-    std::cout << "Sweep-engine benchmark: seed serial path vs "
-                 "sim/sweep.hh\nbranches per run: "
+    std::cout << "Sweep-engine benchmark: per-point serial path vs "
+                 "evaluateFigure5\nbranches per run: "
               << options.branchesPerRun << "\n\n";
     std::cout << std::setw(10) << "bench" << std::setw(14) << "serial_ms"
               << std::setw(14) << "sweep_ms" << std::setw(10) << "speedup"
@@ -236,7 +239,7 @@ main(int argc, char **argv)
         // median drops cold-cache noise.
         Fig5Benchmark serial;
         timing.serialMs = bench::medianRunMillis(args, [&] {
-            serial = seedEvaluate(name, trained, options);
+            serial = serialEvaluate(name, trained, options);
         });
 
         Fig5Benchmark sweep;

@@ -1,20 +1,16 @@
 /**
  * @file
  * Benchmarks the nested-index sweep engine (sim/nested_sweep.hh)
- * against the PR-3 batch path (sweepKernelBatch) on the Figure-5 sweep
+ * against the batch path (sweepKernelBatch) on the Figure-5 sweep
  * shape: gshare 2^{8,10,12,14,16} plus LGC 2^{8,10,12,13} on one test
- * trace. The timed comparison covers exactly those two families - one
- * batch pass per family versus one fused nested pass for everything.
- * The XScale BTB point is evaluated through the engine too and checked
- * for identity (lookups and hits included), but reported untimed: the
- * batch path never serviced BTB points, so timing it would compare
- * against nothing.
+ * trace - one batch pass per family versus one fused nested pass for
+ * both.
  *
- * Before timing, every point is checked bit-identical against the
- * per-config sweepKernelRaw oracle across shard counts {1, 2, 3, 7,
- * 16}, the engine's auto shard choice, and both SIMD settings; any
- * divergence aborts the bench. CI gates on `identical` and `speedup`
- * in the JSON report.
+ * Before timing, every point is checked bit-identical against
+ * per-config sweepKernel runs of the predictor classes across shard
+ * counts {1, 2, 3, 7, 16}, the engine's auto shard choice, and both
+ * SIMD settings; any divergence aborts the bench. CI gates on
+ * `identical` and `speedup` in the JSON report.
  *
  * Usage: bench_sweep_nested [benchmark] [branches_per_run] [json_out]
  *   benchmark         trace name (default "compress")
@@ -45,13 +41,11 @@ using namespace autofsm;
 namespace
 {
 
-/** One sweep point's oracle tallies from the per-config kernel. */
+/** One sweep point's oracle tally from the per-config kernel. */
 struct OraclePoint
 {
     std::string name;
     uint64_t mispredicts = 0;
-    uint64_t lookups = 0; // BTB only
-    uint64_t hits = 0;    // BTB only
 };
 
 NestedSweepRequest
@@ -69,7 +63,6 @@ figure5Request()
         config.log2Entries = log2;
         request.lgc.push_back(config);
     }
-    request.btb.push_back(BtbConfig{});
     return request;
 }
 
@@ -80,21 +73,13 @@ runOracle(const NestedSweepRequest &request, const PackedTrace &trace,
 {
     std::vector<OraclePoint> oracle;
     for (const auto &config : request.gshare) {
-        GshareKernel kernel(config, costs);
+        Gshare gshare(config, costs);
         oracle.push_back(
-            {kernel.name(), sweepKernelRaw(kernel, trace).mispredicts});
+            {gshare.name(), sweepKernel(gshare, trace).mispredicts});
     }
     for (const auto &config : request.lgc) {
-        LgcKernel kernel(config, costs);
-        oracle.push_back(
-            {kernel.name(), sweepKernelRaw(kernel, trace).mispredicts});
-    }
-    for (const auto &config : request.btb) {
-        BtbKernel kernel(config, costs);
-        const uint64_t mispredicts =
-            sweepKernelRaw(kernel, trace).mispredicts;
-        oracle.push_back({kernel.name(), mispredicts, kernel.lookups(),
-                          kernel.hits()});
+        LocalGlobalChooser lgc(config, costs);
+        oracle.push_back({lgc.name(), sweepKernel(lgc, trace).mispredicts});
     }
     return oracle;
 }
@@ -113,14 +98,6 @@ matchesOracle(const NestedSweepResult &result,
     for (const auto &point : result.lgc) {
         if (point.name != oracle[at].name ||
             point.result.mispredicts != oracle[at].mispredicts)
-            return false;
-        ++at;
-    }
-    for (const auto &point : result.btb) {
-        if (point.name != oracle[at].name ||
-            point.result.mispredicts != oracle[at].mispredicts ||
-            point.lookups != oracle[at].lookups ||
-            point.hits != oracle[at].hits)
             return false;
         ++at;
     }
@@ -182,19 +159,15 @@ main(int argc, char **argv)
     std::cout << "identity: all points bit-identical across shard "
                  "counts {auto,1,2,3,7,16} x simd {off,on}\n";
 
-    // Timed comparison on the gshare + LGC families only.
-    NestedSweepRequest timed_request = request;
-    timed_request.btb.clear();
-
     const double baseline_ms = bench::medianRunMillis(args, [&] {
-        std::vector<GshareKernel> gshare;
-        gshare.reserve(timed_request.gshare.size());
-        for (const auto &config : timed_request.gshare)
+        std::vector<Gshare> gshare;
+        gshare.reserve(request.gshare.size());
+        for (const auto &config : request.gshare)
             gshare.emplace_back(config, costs);
         sweepKernelBatch(gshare, *trace);
-        std::vector<LgcKernel> lgc;
-        lgc.reserve(timed_request.lgc.size());
-        for (const auto &config : timed_request.lgc)
+        std::vector<LocalGlobalChooser> lgc;
+        lgc.reserve(request.lgc.size());
+        for (const auto &config : request.lgc)
             lgc.emplace_back(config, costs);
         sweepKernelBatch(lgc, *trace);
     });
@@ -204,28 +177,16 @@ main(int argc, char **argv)
     timed_options.shards = args.shards;
     NestedSweepStats stats;
     const double nested_ms = bench::medianRunMillis(args, [&] {
-        stats = nestedSweep(timed_request, *trace, costs, timed_options)
-                    .stats;
+        stats = nestedSweep(request, *trace, costs, timed_options).stats;
     });
     const double speedup =
         nested_ms > 0.0 ? baseline_ms / nested_ms : 0.0;
-
-    // The BTB point rides the same engine; report its cost alone so
-    // the full-request number is explainable, but keep it out of the
-    // gated comparison (the batch path has no BTB mode to race).
-    NestedSweepRequest btb_request;
-    btb_request.btb = request.btb;
-    const double btb_ms = bench::medianRunMillis(args, [&] {
-        nestedSweep(btb_request, *trace, costs, timed_options);
-    });
 
     std::cout << std::fixed << std::setprecision(2);
     std::cout << "batch (gshare+lgc):  " << std::setw(10) << baseline_ms
               << " ms\n";
     std::cout << "nested (gshare+lgc): " << std::setw(10) << nested_ms
               << " ms  speedup " << speedup << "x\n";
-    std::cout << "nested (btb only):   " << std::setw(10) << btb_ms
-              << " ms  (informational)\n";
     std::cout << "engine: simd=" << stats.simd
               << " nested=" << stats.gshareNested
               << " gshare_shards=" << stats.gshareShards
@@ -251,7 +212,6 @@ main(int argc, char **argv)
     json.key("identical").value(identical);
     json.key("batch_ms").value(baseline_ms);
     json.key("nested_ms").value(nested_ms);
-    json.key("btb_ms").value(btb_ms);
     json.key("speedup").value(speedup);
     json.endObject();
     out << "\n";

@@ -6,6 +6,7 @@
 #include <limits>
 #include <memory>
 
+#include "bpred/two_bit.hh"
 #include "sim/sweep.hh"
 #include "support/thread_pool.hh"
 
@@ -37,79 +38,17 @@ lowMask64(int n)
 }
 
 /** History bits that actually reach the index (the index mask drops
- *  the rest), matching GshareKernel::indexOf. */
+ *  the rest), matching Gshare's index function. */
 int
 effectiveHistoryBits(const GshareConfig &config)
 {
     return std::min(config.historyBits, config.log2Entries);
 }
 
-bool
-isPowerOfTwo(int value)
-{
-    return value > 0 && (value & (value - 1)) == 0;
-}
-
-/**
- * Branchless kernel-state replica of LgcKernel::step: identical loads,
- * stores and decision order, but the local pattern counter bumps
- * through detail::kCounterStep instead of compare-branches. LGC is the
- * one family the nested engine cannot transpose (pattern counters are
- * indexed by history *values* shared across pc classes), so its win is
- * removing the data-dependent branches that dominate the batch path.
- */
-struct NestedLgcState
-{
-    std::vector<uint16_t> localHistory;
-    std::vector<uint8_t> localTable;
-    std::vector<uint8_t> globalChooser;
-    uint64_t mask;
-    uint64_t history = 0;
-    uint64_t mispredicts = 0;
-
-    explicit NestedLgcState(int log2_entries)
-        : localHistory(size_t{1} << log2_entries, 0),
-          localTable(((size_t{1} << log2_entries) + 3) / 4, 0x55),
-          globalChooser(size_t{1} << log2_entries, 0x05),
-          mask((uint64_t{1} << log2_entries) - 1)
-    {}
-
-    inline void
-    step(uint64_t pc, size_t taken)
-    {
-        const auto pc_idx = static_cast<size_t>((pc >> 2) & mask);
-        const auto global_idx = static_cast<size_t>(history & mask);
-        const uint64_t local_hist = localHistory[pc_idx] & mask;
-        const auto local_idx = static_cast<size_t>(local_hist);
-
-        uint8_t &local_byte = localTable[local_idx >> 2];
-        const unsigned local_shift = (local_idx & 3) * 2;
-        const uint8_t local_counter = (local_byte >> local_shift) & 3;
-        const size_t local_pred = local_counter >> 1;
-
-        const uint8_t gc_byte = globalChooser[global_idx];
-        const uint8_t stepped = detail::kLgcGcStep
-            [(static_cast<size_t>(gc_byte) << 2) | (taken << 1) |
-             local_pred];
-        globalChooser[global_idx] = stepped & 0xf;
-
-        const uint8_t bumped =
-            detail::kCounterStep[(taken << 2) | local_counter] & 3;
-        local_byte = static_cast<uint8_t>(
-            (local_byte & ~(3u << local_shift)) |
-            (static_cast<unsigned>(bumped) << local_shift));
-
-        localHistory[pc_idx] =
-            static_cast<uint16_t>(((local_hist << 1) | taken) & mask);
-        history = (history << 1) | taken;
-        mispredicts += ((stepped >> 4) & 1) ^ taken;
-    }
-};
-
 /**
  * One residue class of the gshare counter stage, scalar: every config's
  * counter is the shared index masked into its own byte plane, stepped
- * through detail::kCounterStep exactly like GshareKernel::step.
+ * through detail::kCounterStep exactly like Gshare::step.
  */
 void
 runGshareClassScalar(const uint32_t *payloads, size_t count,
@@ -258,33 +197,28 @@ nestedSweep(const NestedSweepRequest &request, const PackedTrace &trace,
 
     const size_t gshare_k = request.gshare.size();
     const size_t lgc_k = request.lgc.size();
-    const size_t btb_k = request.btb.size();
-    out.stats.pointsPerPass = gshare_k + lgc_k + btb_k;
+    out.stats.pointsPerPass = gshare_k + lgc_k;
 
-    // Names, areas and geometry validation come from transient kernel
-    // replicas, so labels cannot drift from the per-config path and
-    // LgcKernel's length_error for unsupported geometries is inherited
-    // before any work starts.
+    // Names and areas come from the predictor classes, so labels cannot
+    // drift from the per-config path. The LGC points step their own
+    // instances below; building them all up front raises
+    // LocalGlobalChooser's length_error before any work starts.
     out.gshare.resize(gshare_k);
     for (size_t j = 0; j < gshare_k; ++j) {
-        const GshareKernel kernel(request.gshare[j], costs);
-        out.gshare[j].name = kernel.name();
-        out.gshare[j].area = kernel.area();
+        const Gshare gshare(request.gshare[j], costs);
+        out.gshare[j].name = gshare.name();
+        out.gshare[j].area = gshare.area();
         out.gshare[j].result.branches = n;
     }
+    std::vector<LocalGlobalChooser> lgcs;
+    lgcs.reserve(lgc_k);
     out.lgc.resize(lgc_k);
     for (size_t j = 0; j < lgc_k; ++j) {
-        const LgcKernel kernel(request.lgc[j], costs);
-        out.lgc[j].name = kernel.name();
-        out.lgc[j].area = kernel.area();
+        const LocalGlobalChooser &lgc =
+            lgcs.emplace_back(request.lgc[j], costs);
+        out.lgc[j].name = lgc.name();
+        out.lgc[j].area = lgc.area();
         out.lgc[j].result.branches = n;
-    }
-    out.btb.resize(btb_k);
-    for (size_t j = 0; j < btb_k; ++j) {
-        const BtbKernel kernel(request.btb[j], costs);
-        out.btb[j].name = kernel.name();
-        out.btb[j].area = kernel.area();
-        out.btb[j].result.branches = n;
     }
 
     SweepPointTimer timer(SweepEngine::Nested);
@@ -308,8 +242,8 @@ nestedSweep(const NestedSweepRequest &request, const PackedTrace &trace,
         }
     };
 
-    // Position lists and SIMD lane accumulators are 32-bit; refuse the
-    // transposed paths (falling back to the batch kernels) rather than
+    // Payload indices and SIMD lane accumulators are 32-bit; refuse the
+    // transposed path (falling back to the batch kernel) rather than
     // overflow on absurdly long traces.
     const bool trace_fits =
         n < static_cast<size_t>(std::numeric_limits<int32_t>::max());
@@ -341,12 +275,12 @@ nestedSweep(const NestedSweepRequest &request, const PackedTrace &trace,
     if (gshare_k > 0 && !gshare_nested) {
         // Non-nesting size sweep: the PR 3 batch path is already the
         // right shape for it (one pass, per-config indices).
-        std::vector<GshareKernel> kernels;
-        kernels.reserve(gshare_k);
+        std::vector<Gshare> predictors;
+        predictors.reserve(gshare_k);
         for (const GshareConfig &config : request.gshare)
-            kernels.emplace_back(config, costs);
+            predictors.emplace_back(config, costs);
         const std::vector<BpredSimResult> results =
-            sweepKernelBatch(kernels, trace);
+            sweepKernelBatch(predictors, trace);
         for (size_t j = 0; j < gshare_k; ++j)
             out.gshare[j].result = results[j];
     }
@@ -372,27 +306,6 @@ nestedSweep(const NestedSweepRequest &request, const PackedTrace &trace,
         gshare_shards = std::max<size_t>(gshare_shards, 1);
     }
 
-    bool btb_shardable = btb_k > 0 && trace_fits;
-    int btb_min_entries = 0;
-    if (btb_shardable) {
-        btb_min_entries = request.btb[0].entries;
-        for (const BtbConfig &config : request.btb) {
-            if (!isPowerOfTwo(config.entries))
-                btb_shardable = false;
-            btb_min_entries = std::min(btb_min_entries, config.entries);
-        }
-    }
-    size_t btb_shards = 1;
-    size_t b_class_size = 1;
-    if (btb_shardable && n > 0) {
-        b_class_size = std::min<size_t>(
-            static_cast<size_t>(btb_min_entries),
-            size_t{1} << kMaxClassBits);
-        btb_shards = std::max<size_t>(
-            std::min(requested_shards, b_class_size), 1);
-    }
-    const bool partition_btb = btb_k > 0 && n > 0 && btb_shards > 1;
-
     // --- Stage A: shared-index stream + residue counts -------------
     // One word-aligned chunked pass builds the payload stream (shared
     // index + outcome) and counts class members per chunk. The gshare
@@ -400,18 +313,16 @@ nestedSweep(const NestedSweepRequest &request, const PackedTrace &trace,
     // outcomes, read straight out of the packed outcome words.
     const size_t word_count = (n + 63) / 64;
     size_t chunk_count = 1;
-    if ((do_gshare || partition_btb) && pool)
+    if (do_gshare && pool)
         chunk_count = std::max<size_t>(
             std::min(word_count, size_t{thread_count} * 4), 1);
     out.stats.historyShards = do_gshare ? chunk_count : 0;
     out.stats.gshareShards = do_gshare ? gshare_shards : 0;
-    out.stats.btbShards = (btb_k > 0 && n > 0) ? btb_shards : 0;
 
     const uint64_t hist_mask = lowMask64(hb_star);
     const uint64_t index_keep = lowMask64(max_log2);
     const uint32_t g_class_mask = static_cast<uint32_t>(
         (size_t{1} << g_class_bits) - 1);
-    const uint64_t b_class_mask = static_cast<uint64_t>(b_class_size - 1);
 
     std::vector<uint32_t> payload(do_gshare ? n : 0);
     std::vector<uint16_t> g_lut;
@@ -420,70 +331,52 @@ nestedSweep(const NestedSweepRequest &request, const PackedTrace &trace,
         for (size_t r = 0; r < g_lut.size(); ++r)
             g_lut[r] = static_cast<uint16_t>(r % gshare_shards);
     }
-    std::vector<uint16_t> b_lut;
-    if (partition_btb) {
-        b_lut.resize(b_class_size);
-        for (size_t r = 0; r < b_class_size; ++r)
-            b_lut[r] = static_cast<uint16_t>(r % btb_shards);
-    }
 
     const bool count_gshare = do_gshare && gshare_shards > 1;
     std::vector<uint32_t> g_counts(
         count_gshare ? chunk_count * gshare_shards : 0, 0);
-    std::vector<uint32_t> b_counts(
-        partition_btb ? chunk_count * btb_shards : 0, 0);
 
     const auto chunkBounds = [&](size_t t, size_t &begin, size_t &end) {
         begin = (word_count * t / chunk_count) * 64;
         end = std::min(n, (word_count * (t + 1) / chunk_count) * 64);
     };
 
-    if (do_gshare || partition_btb) {
+    if (do_gshare) {
         runParallel(chunk_count, [&](size_t t) {
             size_t begin = 0;
             size_t end = 0;
             chunkBounds(t, begin, end);
-            if (do_gshare) {
-                uint64_t h = 0;
-                const size_t depth =
-                    std::min(static_cast<size_t>(hb_star), begin);
-                for (size_t b = 0; b < depth; ++b) {
-                    const size_t i = begin - 1 - b;
-                    h |= ((words[i >> 6] >> (i & 63)) & 1ULL) << b;
-                }
-                uint32_t *counts_row =
-                    count_gshare ? g_counts.data() + t * gshare_shards
-                                 : nullptr;
-                for (size_t i = begin; i < end; ++i) {
-                    const uint64_t taken =
-                        (words[i >> 6] >> (i & 63)) & 1ULL;
-                    const uint64_t f = (pcs[i] >> 2) ^ (h & hist_mask);
-                    payload[i] =
-                        static_cast<uint32_t>(f & index_keep) |
-                        (static_cast<uint32_t>(taken) << 31);
-                    h = (h << 1) | taken;
-                    if (counts_row)
-                        ++counts_row[g_lut[static_cast<uint32_t>(f) &
-                                           g_class_mask]];
-                }
+            uint64_t h = 0;
+            const size_t depth =
+                std::min(static_cast<size_t>(hb_star), begin);
+            for (size_t b = 0; b < depth; ++b) {
+                const size_t i = begin - 1 - b;
+                h |= ((words[i >> 6] >> (i & 63)) & 1ULL) << b;
             }
-            if (partition_btb) {
-                uint32_t *counts_row = b_counts.data() + t * btb_shards;
-                for (size_t i = begin; i < end; ++i)
-                    ++counts_row[b_lut[(pcs[i] >> 2) & b_class_mask]];
+            uint32_t *counts_row =
+                count_gshare ? g_counts.data() + t * gshare_shards
+                             : nullptr;
+            for (size_t i = begin; i < end; ++i) {
+                const uint64_t taken = (words[i >> 6] >> (i & 63)) & 1ULL;
+                const uint64_t f = (pcs[i] >> 2) ^ (h & hist_mask);
+                payload[i] = static_cast<uint32_t>(f & index_keep) |
+                    (static_cast<uint32_t>(taken) << 31);
+                h = (h << 1) | taken;
+                if (counts_row)
+                    ++counts_row[g_lut[static_cast<uint32_t>(f) &
+                                       g_class_mask]];
             }
         });
     }
 
-    // --- Stage B+C: class-major position/payload lists -------------
+    // --- Stage B+C: class-major payload lists ----------------------
     // A chunked counting sort: exclusive prefixes give each (class,
     // chunk) its slice, so the scatter is write-disjoint and the class
     // streams come out in trace order.
     std::vector<uint32_t> g_class_base(gshare_shards + 1, 0);
-    std::vector<uint32_t> g_start;
     std::vector<uint32_t> g_order;
     if (count_gshare) {
-        g_start.resize(chunk_count * gshare_shards);
+        std::vector<uint32_t> g_start(chunk_count * gshare_shards);
         uint32_t running = 0;
         for (size_t c = 0; c < gshare_shards; ++c) {
             g_class_base[c] = running;
@@ -494,58 +387,25 @@ nestedSweep(const NestedSweepRequest &request, const PackedTrace &trace,
         }
         g_class_base[gshare_shards] = running;
         g_order.resize(n);
-    }
-    std::vector<uint32_t> b_class_base(btb_shards + 1, 0);
-    std::vector<uint32_t> b_start;
-    std::vector<uint32_t> b_order;
-    if (partition_btb) {
-        b_start.resize(chunk_count * btb_shards);
-        uint32_t running = 0;
-        for (size_t c = 0; c < btb_shards; ++c) {
-            b_class_base[c] = running;
-            for (size_t t = 0; t < chunk_count; ++t) {
-                b_start[t * btb_shards + c] = running;
-                running += b_counts[t * btb_shards + c];
-            }
-        }
-        b_class_base[btb_shards] = running;
-        b_order.resize(n);
-    }
 
-    if (count_gshare || partition_btb) {
         runParallel(chunk_count, [&](size_t t) {
             size_t begin = 0;
             size_t end = 0;
             chunkBounds(t, begin, end);
-            if (count_gshare) {
-                std::vector<uint32_t> cursor(
-                    g_start.begin() +
-                        static_cast<ptrdiff_t>(t * gshare_shards),
-                    g_start.begin() +
-                        static_cast<ptrdiff_t>((t + 1) * gshare_shards));
-                for (size_t i = begin; i < end; ++i) {
-                    const uint32_t p = payload[i];
-                    g_order[cursor[g_lut[p & g_class_mask]]++] = p;
-                }
-            }
-            if (partition_btb) {
-                std::vector<uint32_t> cursor(
-                    b_start.begin() +
-                        static_cast<ptrdiff_t>(t * btb_shards),
-                    b_start.begin() +
-                        static_cast<ptrdiff_t>((t + 1) * btb_shards));
-                for (size_t i = begin; i < end; ++i)
-                    b_order[cursor[b_lut[(pcs[i] >> 2) &
-                                         b_class_mask]]++] =
-                        static_cast<uint32_t>(i);
+            std::vector<uint32_t> cursor(
+                g_start.begin() + static_cast<ptrdiff_t>(t * gshare_shards),
+                g_start.begin() +
+                    static_cast<ptrdiff_t>((t + 1) * gshare_shards));
+            for (size_t i = begin; i < end; ++i) {
+                const uint32_t p = payload[i];
+                g_order[cursor[g_lut[p & g_class_mask]]++] = p;
             }
         });
     }
 
     // --- Stage D: the task pool -----------------------------------
     // LGC solo chains first (the longest tasks), then gshare residue
-    // classes, then BTB classes; dynamic index claiming balances the
-    // tails.
+    // classes; dynamic index claiming balances the tails.
     std::vector<uint32_t> g_masks(gshare_k);
     std::vector<uint32_t> g_offsets(gshare_k);
     if (do_gshare) {
@@ -566,24 +426,21 @@ nestedSweep(const NestedSweepRequest &request, const PackedTrace &trace,
 #endif
     out.stats.simd = use_simd;
 
-    std::vector<uint64_t> lgc_mis(lgc_k, 0);
     std::vector<uint64_t> g_tally(gshare_shards * gshare_k, 0);
-    std::vector<uint64_t> b_mis(btb_shards * btb_k, 0);
-    std::vector<uint64_t> b_lookups(btb_shards * btb_k, 0);
-    std::vector<uint64_t> b_hits(btb_shards * btb_k, 0);
 
     std::vector<std::function<void()>> tasks;
     for (size_t j = 0; j < lgc_k; ++j) {
         if (n == 0)
             break;
         tasks.push_back([&, j] {
-            NestedLgcState state(request.lgc[j].log2Entries);
+            LocalGlobalChooser &lgc = lgcs[j];
+            uint64_t mispredicts = 0;
             for (size_t i = 0; i < n; ++i) {
-                const size_t taken =
-                    (words[i >> 6] >> (i & 63)) & 1ULL;
-                state.step(pcs[i], taken);
+                const bool taken = (words[i >> 6] >> (i & 63)) & 1ULL;
+                mispredicts +=
+                    static_cast<uint64_t>(lgc.step(pcs[i], taken));
             }
-            lgc_mis[j] = state.mispredicts;
+            out.lgc[j].result.mispredicts = mispredicts;
         });
     }
     if (do_gshare) {
@@ -615,46 +472,10 @@ nestedSweep(const NestedSweepRequest &request, const PackedTrace &trace,
             });
         }
     }
-    if (btb_k > 0 && n > 0) {
-        for (size_t c = 0; c < btb_shards; ++c) {
-            tasks.push_back([&, c] {
-                for (size_t j = 0; j < btb_k; ++j) {
-                    BtbKernel kernel(request.btb[j], costs);
-                    uint64_t mispredicts = 0;
-                    if (partition_btb) {
-                        const uint32_t *order =
-                            b_order.data() + b_class_base[c];
-                        const size_t count =
-                            b_class_base[c + 1] - b_class_base[c];
-                        for (size_t p = 0; p < count; ++p) {
-                            const size_t i = order[p];
-                            const bool taken =
-                                (words[i >> 6] >> (i & 63)) & 1ULL;
-                            mispredicts += static_cast<uint64_t>(
-                                kernel.step(pcs[i], taken));
-                        }
-                    } else {
-                        for (size_t i = 0; i < n; ++i) {
-                            const bool taken =
-                                (words[i >> 6] >> (i & 63)) & 1ULL;
-                            if (i + detail::kPrefetchDistance < n)
-                                kernel.prefetch(
-                                    pcs[i + detail::kPrefetchDistance]);
-                            mispredicts += static_cast<uint64_t>(
-                                kernel.step(pcs[i], taken));
-                        }
-                    }
-                    b_mis[c * btb_k + j] = mispredicts;
-                    b_lookups[c * btb_k + j] = kernel.lookups();
-                    b_hits[c * btb_k + j] = kernel.hits();
-                }
-            });
-        }
-    }
     runParallel(tasks.size(), [&](size_t i) { tasks[i](); });
 
     // --- Assembly + telemetry parity ------------------------------
-    if (do_gshare || (gshare_nested && gshare_k > 0)) {
+    if (gshare_nested) {
         for (size_t j = 0; j < gshare_k; ++j) {
             uint64_t mispredicts = 0;
             for (size_t c = 0; c < gshare_shards; ++c)
@@ -663,25 +484,8 @@ nestedSweep(const NestedSweepRequest &request, const PackedTrace &trace,
             publishBpredRun(out.gshare[j].name, out.gshare[j].result);
         }
     }
-    for (size_t j = 0; j < lgc_k; ++j) {
-        out.lgc[j].result.mispredicts = lgc_mis[j];
+    for (size_t j = 0; j < lgc_k; ++j)
         publishBpredRun(out.lgc[j].name, out.lgc[j].result);
-    }
-    for (size_t j = 0; j < btb_k; ++j) {
-        uint64_t mispredicts = 0;
-        uint64_t lookups = 0;
-        uint64_t hits = 0;
-        for (size_t c = 0; c < btb_shards; ++c) {
-            mispredicts += b_mis[c * btb_k + j];
-            lookups += b_lookups[c * btb_k + j];
-            hits += b_hits[c * btb_k + j];
-        }
-        out.btb[j].result.mispredicts = mispredicts;
-        out.btb[j].lookups = lookups;
-        out.btb[j].hits = hits;
-        publishBpredRun(out.btb[j].name, out.btb[j].result);
-        publishBtbMetrics(out.btb[j].name, lookups, hits);
-    }
     observeSweepPointsPerPass(out.stats.pointsPerPass);
 
     return out;

@@ -1,9 +1,9 @@
 /**
  * @file
- * Nested-index sweep engine: every gshare/LGC/BTB sweep point of one
+ * Nested-index sweep engine: every gshare and LGC sweep point of one
  * size family serviced by a single pass over the packed trace.
  *
- * The PR 3 batch path (sweepKernelBatch) already shares the trace read
+ * The batch path (sweepKernelBatch) already shares the trace read
  * across one family's sweep points, but each predictor still computes
  * its own table index per record and every point lives on one serial
  * dependency chain. This engine transposes the remaining per-config
@@ -31,26 +31,22 @@
  *    config's cell index agrees on because the masks nest — splits the
  *    pass into disjoint-state tasks whose tallies sum exactly: results
  *    are bit-identical to the serial kernel for ANY shard count, with
- *    no warm-up at all. The BTB shards the same way on its pc index
- *    residue (entries are independent tag+counter automata).
+ *    no warm-up at all.
  *  - **Exact history recovery at trace shards.** The F build itself
  *    shards over word-aligned trace chunks: the gshare history register
  *    at record i is exactly the previous hb* outcomes, read straight
  *    out of the packed outcome words — the degenerate (window = hb*,
  *    always-synchronizing) case of bitsliced.hh's warm-up replay.
- *  - **Branchless LGC.** The local/global chooser's local-history
+ *  - **LGC solo tasks.** The local/global chooser's local-history
  *    coupling defeats both index nesting and cell sharding (pattern
  *    counters are indexed by history *values* shared across pc
- *    classes), so LGC points run one per task — but on a branchless
- *    replica of LgcKernel::step (saturating bumps via
- *    detail::kCounterStep instead of compare-branches), which removes
- *    the data-dependent branch mispredicts that dominated the batch
- *    path's LGC cost.
+ *    classes), so each LGC point steps its own LocalGlobalChooser
+ *    (branch-free table steps) as one task in the same task list.
  *
- * Every point's decisions, tallies, name and area are bit-exact
- * replicas of the per-config sweepKernel path (sweep_test and
- * bench_sweep_nested enforce it across shard counts, thread counts,
- * and the scalar/AVX2 kernels).
+ * Every point's decisions, tallies, name and area equal the
+ * per-config sweepKernel path's (sweep_test and bench_sweep_nested
+ * enforce it across shard counts, thread counts, and the scalar/AVX2
+ * kernels).
  */
 
 #ifndef AUTOFSM_SIM_NESTED_SWEEP_HH
@@ -61,7 +57,6 @@
 #include <string>
 #include <vector>
 
-#include "bpred/btb.hh"
 #include "bpred/gshare.hh"
 #include "bpred/local_global.hh"
 #include "bpred/simulate.hh"
@@ -79,7 +74,6 @@ struct NestedSweepRequest
 {
     std::vector<GshareConfig> gshare;
     std::vector<LgcConfig> lgc;
-    std::vector<BtbConfig> btb;
 };
 
 /** Engine knobs; defaults match the calling context's resources. */
@@ -98,15 +92,12 @@ struct NestedSweepOptions
     ThreadPool *pool = nullptr;
 };
 
-/** One evaluated sweep point (same name/area as the kernel replica). */
+/** One evaluated sweep point (same name/area as the predictor class). */
 struct NestedSweepPoint
 {
     std::string name;
     double area = 0.0;
     BpredSimResult result;
-    /** BTB points only: the lookup/hit tallies BtbKernel keeps. */
-    uint64_t lookups = 0;
-    uint64_t hits = 0;
 };
 
 /** Facts about one engine run, for benches and tests. */
@@ -119,8 +110,6 @@ struct NestedSweepStats
     bool gshareNested = true;
     /** Residue classes the gshare counter stage used. */
     size_t gshareShards = 0;
-    /** Residue classes the BTB stage used. */
-    size_t btbShards = 0;
     /** Word-aligned trace chunks of the F-stream build. */
     size_t historyShards = 0;
     /** Sweep points serviced by this pass (all families). */
@@ -133,7 +122,6 @@ struct NestedSweepResult
 {
     std::vector<NestedSweepPoint> gshare;
     std::vector<NestedSweepPoint> lgc;
-    std::vector<NestedSweepPoint> btb;
     NestedSweepStats stats;
 };
 
@@ -154,13 +142,14 @@ bool gshareConfigsNest(const std::vector<GshareConfig> &configs);
 /**
  * Evaluate every requested sweep point over @p trace in one engine
  * pass. Publishes the same per-run telemetry as the per-config
- * sweepKernel path (publishBpredRun per point, publishBtbMetrics per
- * BTB point) plus the nested-engine sweep-point timings.
+ * sweepKernel path (publishBpredRun per point) plus the nested-engine
+ * sweep-point timings.
  *
  * Results are bit-identical to per-config sweepKernel runs for every
  * (threads, shards, allowSimd) combination.
  *
- * @throws std::length_error like LgcKernel for log2Entries > 16.
+ * @throws std::length_error like LocalGlobalChooser for LGC
+ *         log2Entries > 16.
  */
 NestedSweepResult nestedSweep(const NestedSweepRequest &request,
                               const PackedTrace &trace,

@@ -1,11 +1,23 @@
 /**
  * @file
  * Tests for the branch-prediction substrate: SUD counters, the XScale
- * BTB, gshare, the local/global chooser, the customized architecture
+ * BTB, gshare, the local/global chooser (each held to its SudCounter
+ * reference in reference_predictors.hh), the customized architecture
  * and the training flow.
  */
 
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdint>
+#include <limits>
+#include <stdexcept>
+#include <string>
+#include <thread>
+#include <type_traits>
+#include <vector>
+
+#include "reference_predictors.hh"
 
 #include "bpred/btb.hh"
 #include "bpred/custom.hh"
@@ -106,6 +118,41 @@ TEST(XScaleBtbTest, AreaMatchesGeometry)
     EXPECT_DOUBLE_EQ(btb.area(), expected);
 }
 
+// predict() is const and tallies through atomics, so one trained BTB
+// may be shared by concurrent readers; the tallies must come out exact
+// (the sanitizer CI job runs this under TSan).
+TEST(XScaleBtbTest, SharedConstPredictTalliesExactly)
+{
+    XScaleBtb trained;
+    const uint64_t hit_pc = 0x4000;  // entry 0, trained taken
+    const uint64_t miss_pc = 0x8004; // entry 1, never allocated
+    trained.update(hit_pc, true);
+    trained.update(hit_pc, true);
+    const XScaleBtb &btb = trained;
+
+    constexpr uint64_t kPerThread = 200000;
+    uint64_t wrong[2] = {0, 0};
+    // Both readers spin on one start flag so their loops overlap.
+    std::atomic<bool> go{false};
+    const auto reader = [&btb, &wrong, &go, hit_pc, miss_pc](int t) {
+        while (!go.load())
+            std::this_thread::yield();
+        for (uint64_t i = 0; i < kPerThread; ++i) {
+            wrong[t] += !btb.predict(hit_pc);
+            wrong[t] += btb.predict(miss_pc);
+        }
+    };
+    std::thread a(reader, 0);
+    std::thread b(reader, 1);
+    go.store(true);
+    a.join();
+    b.join();
+
+    EXPECT_EQ(wrong[0] + wrong[1], 0u);
+    EXPECT_EQ(btb.lookups(), 4 * kPerThread);
+    EXPECT_EQ(btb.hits(), 2 * kPerThread);
+}
+
 TEST(GshareTest, LearnsGlobalCorrelation)
 {
     // Branch B is taken iff the previous branch was taken: gshare must
@@ -165,6 +212,17 @@ TEST(LgcTest, LearnsLocalPattern)
     EXPECT_LT(static_cast<double>(wrong) / executions, 0.05);
 }
 
+// Local histories are stored as uint16, so the class refuses larger
+// geometries instead of silently truncating them.
+TEST(LgcTest, RejectsOversizedGeometry)
+{
+    LgcConfig config;
+    config.log2Entries = 17;
+    EXPECT_THROW(LocalGlobalChooser{config}, std::length_error);
+    config.log2Entries = 16;
+    EXPECT_NO_THROW(LocalGlobalChooser{config});
+}
+
 TEST(LgcTest, AreaIncludesAllStructures)
 {
     AreaCosts costs;
@@ -172,6 +230,130 @@ TEST(LgcTest, AreaIncludesAllStructures)
     LocalGlobalChooser lgc(config, costs);
     const double n = 1 << 10;
     EXPECT_DOUBLE_EQ(lgc.area(), (n * 10 + 6 * n) * costs.sramBit);
+}
+
+/**
+ * Random trace over 640 static branches with per-branch biases: wide
+ * enough that every geometry under test aliases (BTB tag conflicts
+ * included) and the counters visit every state.
+ */
+BranchTrace
+randomTrace(size_t n, uint64_t seed)
+{
+    Rng rng(seed);
+    std::vector<double> bias(640);
+    for (double &b : bias)
+        b = rng.uniform();
+    BranchTrace trace;
+    trace.reserve(n);
+    for (size_t i = 0; i < n; ++i) {
+        const uint64_t b = rng.below(bias.size());
+        // Scatter high bits so branches sharing an index differ in tag.
+        const uint64_t pc = 0x10000 + 4 * b + ((b * 0x9e37) << 12);
+        trace.push_back({pc, rng.chance(bias[b])});
+    }
+    return trace;
+}
+
+/**
+ * Drive @p config's production class @p P two ways - the virtual
+ * predict+update API and the fused step - alongside its SudCounter
+ * reference @p R over @p trace, and require every decision, the
+ * mispredict totals, name(), area() and (BTB) the lookup/hit tallies
+ * to agree.
+ */
+template <class P, class R, class Config>
+void
+expectMatchesReference(const Config &config, const BranchTrace &trace,
+                       const std::string &context)
+{
+    const AreaCosts costs;
+    R reference(config, costs);
+    P virt(config, costs);
+    P fused(config, costs);
+    BranchPredictor &api = virt;
+
+    constexpr size_t kNone = std::numeric_limits<size_t>::max();
+    size_t first_virtual_divergence = kNone;
+    size_t first_step_divergence = kNone;
+    uint64_t reference_misses = 0, virtual_misses = 0, step_misses = 0;
+    for (size_t i = 0; i < trace.size(); ++i) {
+        const BranchRecord &record = trace[i];
+        const bool reference_wrong =
+            reference.predict(record.pc) != record.taken;
+        const bool virtual_wrong = api.predict(record.pc) != record.taken;
+        const bool step_wrong = fused.step(record.pc, record.taken);
+        reference.update(record.pc, record.taken);
+        api.update(record.pc, record.taken);
+        if (virtual_wrong != reference_wrong &&
+            first_virtual_divergence == kNone)
+            first_virtual_divergence = i;
+        if (step_wrong != reference_wrong && first_step_divergence == kNone)
+            first_step_divergence = i;
+        reference_misses += reference_wrong;
+        virtual_misses += virtual_wrong;
+        step_misses += step_wrong;
+    }
+
+    EXPECT_EQ(first_virtual_divergence, kNone) << context;
+    EXPECT_EQ(first_step_divergence, kNone) << context;
+    EXPECT_EQ(virtual_misses, reference_misses) << context;
+    EXPECT_EQ(step_misses, reference_misses) << context;
+    EXPECT_EQ(virt.name(), reference.name()) << context;
+    EXPECT_EQ(virt.area(), reference.area()) << context;
+    if constexpr (std::is_same_v<P, XScaleBtb>) {
+        EXPECT_EQ(virt.lookups(), reference.lookups()) << context;
+        EXPECT_EQ(virt.hits(), reference.hits()) << context;
+        EXPECT_EQ(fused.lookups(), reference.lookups()) << context;
+        EXPECT_EQ(fused.hits(), reference.hits()) << context;
+    }
+}
+
+/** Every geometry under test, for every production class. */
+void
+expectAllMatchReference(const BranchTrace &trace, const std::string &context)
+{
+    BtbConfig tiny;
+    tiny.entries = 4;
+    tiny.tagBits = 5;
+    BtbConfig large;
+    large.entries = 1024;
+    for (const BtbConfig &config : {BtbConfig{}, tiny, large}) {
+        expectMatchesReference<XScaleBtb, reference::XScaleBtb>(
+            config, trace,
+            context + " btb" + std::to_string(config.entries));
+    }
+    for (const GshareConfig &config :
+         {GshareConfig{8, 8}, GshareConfig{12, 12}, GshareConfig{12, 4},
+          GshareConfig{16, 16}}) {
+        expectMatchesReference<Gshare, reference::Gshare>(
+            config, trace,
+            context + " gshare" + std::to_string(config.log2Entries) +
+                "/" + std::to_string(config.historyBits));
+    }
+    for (int log2 : {1, 8, 10, 13, 16}) {
+        expectMatchesReference<LocalGlobalChooser,
+                               reference::LocalGlobalChooser>(
+            LgcConfig{log2}, trace, context + " lgc" + std::to_string(log2));
+    }
+}
+
+// Trace lengths around the 64-record word boundary plus one long one.
+TEST(ReferencePredictorTest, RandomTracesMatchReference)
+{
+    for (size_t n : {size_t{0}, size_t{1}, size_t{63}, size_t{64},
+                     size_t{65}, size_t{12345}}) {
+        expectAllMatchReference(randomTrace(n, 0x5eed + n),
+                                "random n=" + std::to_string(n));
+    }
+}
+
+TEST(ReferencePredictorTest, BenchmarkTracesMatchReference)
+{
+    for (const std::string &name : branchBenchmarkNames()) {
+        expectAllMatchReference(
+            makeBranchTrace(name, WorkloadInput::Test, 20000), name);
+    }
 }
 
 TEST(CustomPredictorTest, CustomEntryOverridesBtb)

@@ -1,9 +1,10 @@
 /**
  * @file
- * Sweep-engine tests: the packed trace round-trips, the devirtualized
- * kernels and the transposed custom replay are bit-identical to the
- * virtual-dispatch seed path, parallel sweeps match serial ones, and
- * the process-wide trace cache is safe under concurrent access.
+ * Sweep-engine tests: the packed trace round-trips, the sweep kernels,
+ * the nested-index sweep and the transposed custom replay are
+ * bit-identical to the per-record virtual predict/update path, parallel
+ * sweeps match serial ones, and the process-wide trace cache is safe
+ * under concurrent access.
  */
 
 #include <gtest/gtest.h>
@@ -72,74 +73,6 @@ TEST(SweepKernelTest, GoldenMatchAgainstVirtualSimulation)
             EXPECT_EQ(a.mispredicts, b.mispredicts) << name;
         }
     }
-}
-
-// The kernel-state replicas must be indistinguishable from the
-// predictor classes in every output the experiments read: mispredict
-// counts, names, areas, and (for the BTB) lookup/hit tallies.
-TEST(SweepKernelTest, KernelReplicasMatchPredictorClasses)
-{
-    for (const std::string &name : branchBenchmarkNames()) {
-        const BranchTrace trace =
-            makeBranchTrace(name, WorkloadInput::Test, kBranches);
-        const PackedTrace packed(trace);
-
-        {
-            XScaleBtb seed;
-            BtbKernel kernel;
-            const BpredSimResult a = simulateBranchPredictor(seed, trace);
-            const BpredSimResult b = sweepKernel(kernel, packed);
-            EXPECT_EQ(a.mispredicts, b.mispredicts) << name;
-            EXPECT_EQ(seed.name(), kernel.name());
-            EXPECT_EQ(seed.area(), kernel.area());
-            EXPECT_EQ(seed.lookups(), kernel.lookups()) << name;
-            EXPECT_EQ(seed.hits(), kernel.hits()) << name;
-        }
-        for (int log2 : {8, 12, 16}) {
-            GshareConfig config;
-            config.log2Entries = log2;
-            config.historyBits = std::min(log2, 16);
-            Gshare seed(config);
-            GshareKernel kernel(config);
-            const BpredSimResult a = simulateBranchPredictor(seed, trace);
-            const BpredSimResult b = sweepKernel(kernel, packed);
-            EXPECT_EQ(a.mispredicts, b.mispredicts) << name << " " << log2;
-            EXPECT_EQ(seed.name(), kernel.name());
-            EXPECT_EQ(seed.area(), kernel.area());
-        }
-        for (int log2 : {8, 10, 13}) {
-            LgcConfig config;
-            config.log2Entries = log2;
-            LocalGlobalChooser seed(config);
-            LgcKernel kernel(config);
-            const BpredSimResult a = simulateBranchPredictor(seed, trace);
-            const BpredSimResult b = sweepKernel(kernel, packed);
-            EXPECT_EQ(a.mispredicts, b.mispredicts) << name << " " << log2;
-            EXPECT_EQ(seed.name(), kernel.name());
-            EXPECT_EQ(seed.area(), kernel.area());
-        }
-    }
-}
-
-TEST(SweepKernelTest, LgcKernelRejectsOversizedGeometry)
-{
-    LgcConfig config;
-    config.log2Entries = 17;
-    EXPECT_THROW(LgcKernel{config}, std::length_error);
-}
-
-TEST(SweepKernelTest, CompatibilityInstantiationUsesVirtualApi)
-{
-    const BranchTrace trace =
-        makeBranchTrace("compress", WorkloadInput::Test, kBranches);
-    const PackedTrace packed(trace);
-
-    Gshare concrete;
-    BranchPredictor &virt = concrete;
-    Gshare direct;
-    const BpredSimResult a = sweepKernel<BranchPredictor>(virt, packed);
-    const BpredSimResult b = sweepKernel(direct, packed);
-    EXPECT_EQ(a.mispredicts, b.mispredicts);
 }
 
 TEST(SweepKernelTest, BatchMatchesIndividualRuns)
@@ -432,7 +365,7 @@ TEST(PackedTraceCacheTest, LruCapEvictsColdestPacking)
     clearPackedTraceCache();
 }
 
-/** The Figure-5 sweep shape plus the XScale BTB point. */
+/** The Figure-5 gshare and LGC size sweeps. */
 NestedSweepRequest
 figure5Request()
 {
@@ -448,13 +381,12 @@ figure5Request()
         config.log2Entries = log2;
         request.lgc.push_back(config);
     }
-    request.btb.push_back(BtbConfig{});
     return request;
 }
 
 /**
- * Every nested-sweep point must match a per-config sweepKernelRaw run
- * bit for bit: mispredicts, names, areas, and BTB lookup/hit tallies.
+ * Every nested-sweep point must match a per-config sweepKernel run of
+ * the predictor class bit for bit: mispredicts, names and areas.
  */
 void
 expectNestedMatchesKernels(const NestedSweepRequest &request,
@@ -468,41 +400,30 @@ expectNestedMatchesKernels(const NestedSweepRequest &request,
 
     ASSERT_EQ(swept.gshare.size(), request.gshare.size()) << context;
     for (size_t i = 0; i < request.gshare.size(); ++i) {
-        GshareKernel kernel(request.gshare[i], costs);
-        const BpredSimResult oracle = sweepKernelRaw(kernel, packed);
+        Gshare gshare(request.gshare[i], costs);
+        const BpredSimResult oracle = sweepKernel(gshare, packed);
         EXPECT_EQ(swept.gshare[i].result.branches, oracle.branches)
             << context << " gshare " << i;
         EXPECT_EQ(swept.gshare[i].result.mispredicts, oracle.mispredicts)
             << context << " gshare " << i;
-        EXPECT_EQ(swept.gshare[i].name, kernel.name());
-        EXPECT_EQ(swept.gshare[i].area, kernel.area());
+        EXPECT_EQ(swept.gshare[i].name, gshare.name());
+        EXPECT_EQ(swept.gshare[i].area, gshare.area());
     }
     ASSERT_EQ(swept.lgc.size(), request.lgc.size()) << context;
     for (size_t i = 0; i < request.lgc.size(); ++i) {
-        LgcKernel kernel(request.lgc[i], costs);
-        const BpredSimResult oracle = sweepKernelRaw(kernel, packed);
+        LocalGlobalChooser lgc(request.lgc[i], costs);
+        const BpredSimResult oracle = sweepKernel(lgc, packed);
+        EXPECT_EQ(swept.lgc[i].result.branches, oracle.branches)
+            << context << " lgc " << i;
         EXPECT_EQ(swept.lgc[i].result.mispredicts, oracle.mispredicts)
             << context << " lgc " << i;
-        EXPECT_EQ(swept.lgc[i].name, kernel.name());
-        EXPECT_EQ(swept.lgc[i].area, kernel.area());
-    }
-    ASSERT_EQ(swept.btb.size(), request.btb.size()) << context;
-    for (size_t i = 0; i < request.btb.size(); ++i) {
-        BtbKernel kernel(request.btb[i], costs);
-        const BpredSimResult oracle = sweepKernelRaw(kernel, packed);
-        EXPECT_EQ(swept.btb[i].result.mispredicts, oracle.mispredicts)
-            << context << " btb " << i;
-        EXPECT_EQ(swept.btb[i].lookups, kernel.lookups())
-            << context << " btb " << i;
-        EXPECT_EQ(swept.btb[i].hits, kernel.hits())
-            << context << " btb " << i;
-        EXPECT_EQ(swept.btb[i].name, kernel.name());
-        EXPECT_EQ(swept.btb[i].area, kernel.area());
+        EXPECT_EQ(swept.lgc[i].name, lgc.name());
+        EXPECT_EQ(swept.lgc[i].area, lgc.area());
     }
 }
 
-// The acceptance matrix: every Figure-5 point bit-identical to the
-// per-config kernels across shard counts (odd ones included), thread
+// The acceptance matrix: every Figure-5 size-sweep point bit-identical
+// to the per-config kernels across shard counts (odd ones included), thread
 // counts, and both SIMD settings. The partition must be invisible.
 TEST(NestedSweepTest, MatchesPerConfigKernelsAcrossShardsAndSimd)
 {
@@ -612,7 +533,6 @@ TEST(NestedSweepTest, EmptyFamiliesAndEmptyTrace)
         nestedSweep(NestedSweepRequest{}, packed);
     EXPECT_TRUE(none.gshare.empty());
     EXPECT_TRUE(none.lgc.empty());
-    EXPECT_TRUE(none.btb.empty());
     EXPECT_EQ(none.stats.pointsPerPass, 0u);
 
     const PackedTrace empty{BranchTrace{}};

@@ -1,7 +1,6 @@
 /**
  * @file
- * Tests for the trace substrate: binary trace I/O and SimPoint-style
- * representative-interval selection.
+ * Tests for the trace substrate: binary trace I/O.
  */
 
 #include <gtest/gtest.h>
@@ -10,7 +9,6 @@
 #include <sstream>
 
 #include "support/rng.hh"
-#include "trace/simpoint.hh"
 #include "trace/trace_io.hh"
 #include "workloads/branch_workloads.hh"
 #include "workloads/value_workloads.hh"
@@ -142,108 +140,6 @@ TEST(TraceIoTest, MissingFileThrows)
 {
     EXPECT_THROW(loadBranchTrace("/nonexistent/nope.bin"),
                  std::invalid_argument);
-}
-
-/** A two-phase trace: phase A (branch X alternating), phase B (branch Y
- *  always taken). */
-BranchTrace
-twoPhaseTrace(size_t per_phase)
-{
-    BranchTrace trace;
-    for (size_t i = 0; i < per_phase; ++i)
-        trace.push_back({0xAAA0, i % 2 == 0});
-    for (size_t i = 0; i < per_phase; ++i)
-        trace.push_back({0xBBB0, true});
-    return trace;
-}
-
-TEST(SimPointTest, TwoPhasesYieldTwoClusters)
-{
-    const BranchTrace trace = twoPhaseTrace(20000);
-    SimPointOptions options;
-    options.intervalSize = 1000;
-    options.clusters = 2;
-    const std::vector<SimPoint> points = selectSimPoints(trace, options);
-    ASSERT_EQ(points.size(), 2u);
-
-    // One representative from each half, with equal weights.
-    EXPECT_LT(points[0].interval, 20u);
-    EXPECT_GE(points[1].interval, 20u);
-    EXPECT_NEAR(points[0].weight, 0.5, 1e-9);
-    EXPECT_NEAR(points[1].weight, 0.5, 1e-9);
-}
-
-TEST(SimPointTest, WeightsSumToOne)
-{
-    const BranchTrace trace =
-        makeBranchTrace("compress", WorkloadInput::Train, 50000);
-    SimPointOptions options;
-    options.intervalSize = 2000;
-    options.clusters = 5;
-    const auto points = selectSimPoints(trace, options);
-    ASSERT_FALSE(points.empty());
-    double sum = 0.0;
-    for (const auto &point : points)
-        sum += point.weight;
-    EXPECT_NEAR(sum, 1.0, 1e-9);
-}
-
-TEST(SimPointTest, SampleTraceConcatenatesIntervals)
-{
-    const BranchTrace trace = twoPhaseTrace(10000);
-    SimPointOptions options;
-    options.intervalSize = 500;
-    options.clusters = 2;
-    const auto points = selectSimPoints(trace, options);
-    const BranchTrace sampled =
-        sampleTrace(trace, points, options.intervalSize);
-    EXPECT_EQ(sampled.size(), points.size() * options.intervalSize);
-    // The sample contains both phases' branches.
-    const BranchProfile profile = profileTrace(sampled);
-    EXPECT_EQ(profile.size(), 2u);
-}
-
-TEST(SimPointTest, DeterministicAcrossRuns)
-{
-    const BranchTrace trace =
-        makeBranchTrace("ijpeg", WorkloadInput::Train, 30000);
-    SimPointOptions options;
-    options.intervalSize = 1500;
-    options.clusters = 3;
-    const auto a = selectSimPoints(trace, options);
-    const auto b = selectSimPoints(trace, options);
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].interval, b[i].interval);
-        EXPECT_DOUBLE_EQ(a[i].weight, b[i].weight);
-    }
-}
-
-TEST(SimPointTest, TinyTraceHandled)
-{
-    SimPointOptions options;
-    options.intervalSize = 1000;
-    EXPECT_TRUE(selectSimPoints({}, options).empty());
-    // Trace shorter than one interval: no intervals, no points.
-    EXPECT_TRUE(selectSimPoints(twoPhaseTrace(100), options).empty());
-}
-
-TEST(SimPointTest, SampledTrainingPreservesFsmQuality)
-{
-    // Methodology check: training custom FSMs on the SimPoint sample
-    // yields nearly the accuracy of training on the full trace.
-    const BranchTrace full =
-        makeBranchTrace("vortex", WorkloadInput::Train, 60000);
-    SimPointOptions options;
-    options.intervalSize = 3000;
-    options.clusters = 4;
-    const BranchTrace sampled =
-        sampleTrace(full, selectSimPoints(full, options),
-                    options.intervalSize);
-    ASSERT_LT(sampled.size(), full.size() / 2);
-
-    // The sampled trace must cover the same static branches.
-    EXPECT_EQ(profileTrace(sampled).size(), profileTrace(full).size());
 }
 
 } // anonymous namespace
