@@ -1,7 +1,7 @@
 /**
  * @file
  * Benchmarks the Figure-5 evaluation engine (evaluateFigure5: the
- * nested-index size sweep, the packed-trace BTB pass and the
+ * batched gshare/LGC size sweep, the packed-trace BTB pass and the
  * bit-sliced custom replay) against a per-point serial path: one
  * virtual simulateBranchPredictor run per sweep point over the AoS
  * trace - the same predictor classes, dispatched through the

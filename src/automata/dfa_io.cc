@@ -1,10 +1,19 @@
 #include "automata/dfa_io.hh"
 
+#include <algorithm>
 #include <sstream>
 #include <stdexcept>
 
 namespace autofsm
 {
+
+namespace
+{
+
+/** Rows to pre-reserve before the text has proven it holds them. */
+constexpr size_t kMaxEagerReserve = size_t{1} << 16;
+
+} // anonymous namespace
 
 std::string
 dfaToText(const Dfa &fsm)
@@ -37,7 +46,9 @@ dfaFromText(const std::string &text)
         int output, next0, next1;
     };
     std::vector<Row> rows;
-    rows.reserve(static_cast<size_t>(num_states));
+    // The header's count is untrusted: bodies that really hold more
+    // rows than the eager reserve grow the vector as they are read.
+    rows.reserve(std::min(static_cast<size_t>(num_states), kMaxEagerReserve));
     for (int s = 0; s < num_states; ++s) {
         Row row{};
         if (!(in >> row.output >> row.next0 >> row.next1))

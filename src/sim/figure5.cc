@@ -128,12 +128,10 @@ evaluateFigure5(const std::string &benchmark,
     }
 
     {
-        // One fused engine pass services every gshare and LGC sweep
-        // point (sim/nested_sweep.hh): the gshare sizes share a single
-        // nested index stream, the LGC points run as branchless side
-        // tasks, and residue-class sharding spreads the counter work
-        // across sweep_threads - serial (sweep_threads == 1) and
-        // parallel runs produce bit-identical tallies.
+        // sweepKernelBatch passes service every gshare and LGC sweep
+        // point (sim/nested_sweep.hh): one per family serially, and with
+        // sweep_threads > 1 each family split into parallel sub-batches.
+        // Serial and parallel runs produce bit-identical tallies.
         NestedSweepRequest request;
         request.gshare.reserve(num_gshare);
         for (size_t i = 0; i < num_gshare; ++i)
@@ -143,7 +141,6 @@ evaluateFigure5(const std::string &benchmark,
             request.lgc.push_back(lgc_config(i));
         NestedSweepOptions sweep_options;
         sweep_options.threads = sweep_threads;
-        sweep_options.shards = options.replayShards;
         const NestedSweepResult swept =
             nestedSweep(request, packed_test, costs, sweep_options);
         for (size_t i = 0; i < num_gshare; ++i)

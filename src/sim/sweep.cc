@@ -10,20 +10,14 @@ namespace autofsm
 namespace
 {
 
-constexpr const char *kSweepPointHelp =
-    "Kernel time of one sweep point (one batched replay or one fused "
-    "nested-index pass), by engine.";
-
 obs::Histogram &
-sweepPointHistogram(SweepEngine engine)
+sweepPointHistogram()
 {
-    static obs::Histogram batch = obs::globalMetrics().histogram(
-        "autofsm_sweep_point_millis", kSweepPointHelp,
-        obs::defaultLatencyBucketsMillis(), {{"engine", "batch"}});
-    static obs::Histogram nested = obs::globalMetrics().histogram(
-        "autofsm_sweep_point_millis", kSweepPointHelp,
-        obs::defaultLatencyBucketsMillis(), {{"engine", "nested"}});
-    return engine == SweepEngine::Nested ? nested : batch;
+    static obs::Histogram histogram = obs::globalMetrics().histogram(
+        "autofsm_sweep_point_millis",
+        "Kernel time of one sweep point (one batched replay pass).",
+        obs::defaultLatencyBucketsMillis());
+    return histogram;
 }
 
 obs::Gauge &
@@ -31,19 +25,11 @@ sweepPointsPerPassGauge()
 {
     static obs::Gauge gauge = obs::globalMetrics().gauge(
         "autofsm_sweep_points_per_pass",
-        "Sweep points serviced by the most recent fused sweep pass.");
+        "Sweep points serviced by the most recent sweep pass.");
     return gauge;
 }
 
 } // anonymous namespace
-
-void
-observeSweepPointMillis(double millis, SweepEngine engine)
-{
-    if (!obs::globalMetrics().enabled())
-        return;
-    sweepPointHistogram(engine).observe(millis);
-}
 
 void
 observeSweepPointsPerPass(size_t points)
@@ -53,7 +39,7 @@ observeSweepPointsPerPass(size_t points)
     sweepPointsPerPassGauge().set(static_cast<double>(points));
 }
 
-SweepPointTimer::SweepPointTimer(SweepEngine engine) : engine_(engine)
+SweepPointTimer::SweepPointTimer()
 {
     if (obs::globalMetrics().enabled()) {
         active_ = true;
@@ -65,11 +51,10 @@ SweepPointTimer::~SweepPointTimer()
 {
     if (!active_)
         return;
-    observeSweepPointMillis(
+    sweepPointHistogram().observe(
         std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - start_)
-            .count(),
-        engine_);
+            .count());
 }
 
 CustomReplayCounts
@@ -117,7 +102,7 @@ replayCustomMachines(const std::vector<CustomSweepMachine> &machines,
     const uint64_t *pcs = trace.pcs().data();
     const uint64_t *words = trace.takenWords().data();
     {
-        SweepPointTimer timer(SweepEngine::Batch);
+        SweepPointTimer timer;
         for (size_t i = 0; i < n; ++i) {
             const bool taken = (words[i >> 6] >> (i & 63)) & 1ULL;
             if (i + detail::kPrefetchDistance < n)
@@ -140,7 +125,7 @@ replayCustomMachines(const std::vector<CustomSweepMachine> &machines,
     counts.btbHits = btb.hits();
 
     {
-        SweepPointTimer timer(SweepEngine::Batch);
+        SweepPointTimer timer;
         std::vector<BitslicedMachine> sliced(k);
         for (size_t m = 0; m < k; ++m)
             sliced[m] = BitslicedMachine{machines[m].fsm, &positions[m]};
@@ -179,7 +164,7 @@ replayCustomMachines(const std::vector<CustomSweepMachine> &machines,
     const uint64_t *words = trace.takenWords().data();
     static const std::vector<uint32_t> no_positions;
     {
-        SweepPointTimer timer(SweepEngine::Batch);
+        SweepPointTimer timer;
         std::vector<BitslicedMachine> sliced(k);
         for (size_t m = 0; m < k; ++m) {
             // An absent positions list means "this machine never

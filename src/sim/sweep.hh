@@ -21,9 +21,9 @@
  *    which also shards long traces across workers with exact
  *    warm-up-edge replay at the shard boundaries.
  *
- * The gshare/LGC size sweeps of Figure 5 go through the nested-index
- * engine (sim/nested_sweep.hh) instead. Results are bit-identical to
- * the per-record virtual predict/update path; sweep_test and
+ * The gshare/LGC size sweeps of Figure 5 are sweepKernelBatch passes
+ * (nestedSweep, sim/nested_sweep.hh). Results are bit-identical to the
+ * per-record virtual predict/update path; sweep_test and
  * bench_sim_sweep assert this.
  */
 
@@ -66,22 +66,8 @@ inline constexpr size_t kPrefetchDistance = 16;
 } // namespace detail
 
 /**
- * Which replay engine serviced a timed sweep point; becomes the
- * `engine` label on autofsm_sweep_point_millis so the obs layer can
- * attribute sweep time per path.
- */
-enum class SweepEngine
-{
-    Batch,  ///< one predictor kind per pass (sweepKernelBatch, replays)
-    Nested, ///< the nested-index engine (sim/nested_sweep.hh)
-};
-
-/** Record one finished sweep point in autofsm_sweep_point_millis. */
-void observeSweepPointMillis(double millis, SweepEngine engine);
-
-/**
  * Record in the autofsm_sweep_points_per_pass gauge how many sweep
- * points the most recent fused pass serviced.
+ * points the most recent sweep pass (or nestedSweep call) serviced.
  */
 void observeSweepPointsPerPass(size_t points);
 
@@ -92,7 +78,7 @@ void observeSweepPointsPerPass(size_t points);
 class SweepPointTimer
 {
   public:
-    explicit SweepPointTimer(SweepEngine engine);
+    SweepPointTimer();
     ~SweepPointTimer();
 
     SweepPointTimer(const SweepPointTimer &) = delete;
@@ -100,7 +86,6 @@ class SweepPointTimer
 
   private:
     std::chrono::steady_clock::time_point start_;
-    SweepEngine engine_;
     bool active_ = false;
 };
 

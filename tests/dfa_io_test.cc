@@ -74,6 +74,10 @@ TEST(DfaIoTest, RejectsMalformedInput)
     EXPECT_THROW(dfaFromText("fsm 2 0\n0 0 0\n"), std::invalid_argument);
     EXPECT_THROW(dfaFromText("fsm 1 0\n2 0 0\n"), std::invalid_argument);
     EXPECT_THROW(dfaFromText("fsm 1 0\n0 0 9\n"), std::invalid_argument);
+    // A header claiming far more states than the text holds must read
+    // as a truncated body, not as a request to allocate for the claim.
+    EXPECT_THROW(dfaFromText("fsm 2000000000 0\n0 0 0\n"),
+                 std::invalid_argument);
 }
 
 TEST(DfaIoTest, TextFormatIsStable)

@@ -1,18 +1,21 @@
 /**
  * @file
- * Sweep-engine tests: the packed trace round-trips, the sweep kernels,
- * the nested-index sweep and the transposed custom replay are
- * bit-identical to the per-record virtual predict/update path, parallel
- * sweeps match serial ones, and the process-wide trace cache is safe
- * under concurrent access.
+ * Sweep-engine tests: the packed trace round-trips, the sweep kernels
+ * and the transposed custom replay are bit-identical to the per-record
+ * virtual predict/update path, the Figure 5 size sweep matches the
+ * SudCounter reference predictors, parallel sweeps match serial ones,
+ * and the process-wide trace cache is safe under concurrent access.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 #include <thread>
 #include <unordered_map>
 #include <vector>
+
+#include "reference_predictors.hh"
 
 #include "bpred/btb.hh"
 #include "bpred/gshare.hh"
@@ -385,162 +388,124 @@ figure5Request()
 }
 
 /**
- * Every nested-sweep point must match a per-config sweepKernel run of
- * the predictor class bit for bit: mispredicts, names and areas.
+ * Every sweep point must match the SudCounter reference predictor of
+ * its config (tests/reference_predictors.hh), driven record by record
+ * through predict/update: mispredicts, names and areas.
  */
 void
-expectNestedMatchesKernels(const NestedSweepRequest &request,
-                           const PackedTrace &packed,
-                           const NestedSweepOptions &options,
-                           const std::string &context)
+expectSweepMatchesReference(const NestedSweepRequest &request,
+                            const BranchTrace &trace,
+                            const NestedSweepOptions &options,
+                            const std::string &context)
 {
     const AreaCosts costs;
     const NestedSweepResult swept =
-        nestedSweep(request, packed, costs, options);
+        nestedSweep(request, PackedTrace(trace), costs, options);
+    EXPECT_EQ(swept.stats.pointsPerPass,
+              request.gshare.size() + request.lgc.size())
+        << context;
 
     ASSERT_EQ(swept.gshare.size(), request.gshare.size()) << context;
     for (size_t i = 0; i < request.gshare.size(); ++i) {
-        Gshare gshare(request.gshare[i], costs);
-        const BpredSimResult oracle = sweepKernel(gshare, packed);
+        reference::Gshare gshare(request.gshare[i], costs);
+        const BpredSimResult oracle = simulateBranchPredictor(gshare, trace);
         EXPECT_EQ(swept.gshare[i].result.branches, oracle.branches)
             << context << " gshare " << i;
         EXPECT_EQ(swept.gshare[i].result.mispredicts, oracle.mispredicts)
             << context << " gshare " << i;
-        EXPECT_EQ(swept.gshare[i].name, gshare.name());
-        EXPECT_EQ(swept.gshare[i].area, gshare.area());
+        EXPECT_EQ(swept.gshare[i].name, gshare.name()) << context;
+        EXPECT_EQ(swept.gshare[i].area, gshare.area()) << context;
     }
     ASSERT_EQ(swept.lgc.size(), request.lgc.size()) << context;
     for (size_t i = 0; i < request.lgc.size(); ++i) {
-        LocalGlobalChooser lgc(request.lgc[i], costs);
-        const BpredSimResult oracle = sweepKernel(lgc, packed);
+        reference::LocalGlobalChooser lgc(request.lgc[i], costs);
+        const BpredSimResult oracle = simulateBranchPredictor(lgc, trace);
         EXPECT_EQ(swept.lgc[i].result.branches, oracle.branches)
             << context << " lgc " << i;
         EXPECT_EQ(swept.lgc[i].result.mispredicts, oracle.mispredicts)
             << context << " lgc " << i;
-        EXPECT_EQ(swept.lgc[i].name, lgc.name());
-        EXPECT_EQ(swept.lgc[i].area, lgc.area());
+        EXPECT_EQ(swept.lgc[i].name, lgc.name()) << context;
+        EXPECT_EQ(swept.lgc[i].area, lgc.area()) << context;
     }
 }
 
-// The acceptance matrix: every Figure-5 size-sweep point bit-identical
-// to the per-config kernels across shard counts (odd ones included), thread
-// counts, and both SIMD settings. The partition must be invisible.
-TEST(NestedSweepTest, MatchesPerConfigKernelsAcrossShardsAndSimd)
+/** Exactly @p n records of a benchmark trace. */
+BranchTrace
+traceOfLength(const std::string &name, size_t n)
 {
-    const BranchTrace trace =
-        makeBranchTrace("compress", WorkloadInput::Test, kBranches);
-    const PackedTrace packed(trace);
-    const NestedSweepRequest request = figure5Request();
-
-    for (unsigned threads : {1u, 3u}) {
-        for (size_t shards : {size_t{1}, size_t{2}, size_t{3}, size_t{7},
-                              size_t{16}}) {
-            for (bool simd : {false, true}) {
-                NestedSweepOptions options;
-                options.threads = threads;
-                options.shards = shards;
-                options.allowSimd = simd;
-                expectNestedMatchesKernels(
-                    request, packed, options,
-                    "threads=" + std::to_string(threads) +
-                        " shards=" + std::to_string(shards) +
-                        " simd=" + std::to_string(simd));
-            }
-        }
-    }
+    BranchTrace trace = makeBranchTrace(name, WorkloadInput::Test, n);
+    trace.resize(std::min(trace.size(), n));
+    return trace;
 }
 
-// Traces shorter than any warm-up window, word-boundary straddlers,
-// and a non-power-of-two count ending mid-word: the engine recovers
-// history directly from the packed outcome words, so even n=1 must be
-// exact for every shard count.
-TEST(NestedSweepTest, ShortAndMidWordTracesStayExact)
+// Every Figure-5 size-sweep point, plus a gshare family whose history
+// depths are unrelated to its table sizes; serial, split into uneven
+// sub-batches (3 threads) and with more threads than points.
+TEST(NestedSweepTest, MatchesReferencePredictors)
 {
-    const NestedSweepRequest request = figure5Request();
-    for (size_t n : {size_t{1}, size_t{5}, size_t{63}, size_t{64},
-                     size_t{65}, size_t{130}, size_t{12345}}) {
-        const BranchTrace trace =
-            makeBranchTrace("gsm", WorkloadInput::Test, n);
-        const PackedTrace packed(trace);
-        for (size_t shards : {size_t{1}, size_t{3}, size_t{7},
-                              size_t{16}}) {
-            NestedSweepOptions options;
-            options.threads = 3;
-            options.shards = shards;
-            expectNestedMatchesKernels(request, packed, options,
-                                       "n=" + std::to_string(n) +
-                                           " shards=" +
-                                           std::to_string(shards));
-        }
-    }
-}
-
-// A gshare family whose effective history depths do not nest falls
-// back to the batch path - still bit-identical, just not fused.
-TEST(NestedSweepTest, NonNestingGshareFallsBackIdentically)
-{
-    const BranchTrace trace =
-        makeBranchTrace("vortex", WorkloadInput::Test, kBranches);
-    const PackedTrace packed(trace);
-
-    NestedSweepRequest request;
+    NestedSweepRequest mixed_depths;
     GshareConfig shallow;
     shallow.log2Entries = 12;
     shallow.historyBits = 4;
     GshareConfig deep;
     deep.log2Entries = 12;
     deep.historyBits = 12;
-    request.gshare = {shallow, deep};
-    EXPECT_FALSE(gshareConfigsNest(request.gshare));
+    mixed_depths.gshare = {shallow, deep};
 
-    NestedSweepOptions options;
-    const NestedSweepResult swept =
-        nestedSweep(request, packed, AreaCosts{}, options);
-    EXPECT_FALSE(swept.stats.gshareNested);
-    expectNestedMatchesKernels(request, packed, options, "non-nesting");
+    const BranchTrace trace = traceOfLength("compress", kBranches);
+    for (const auto &[label, request] :
+         {std::pair{"figure5", figure5Request()},
+          std::pair{"mixed history depths", mixed_depths}}) {
+        for (unsigned threads : {1u, 3u, 12u}) {
+            NestedSweepOptions options;
+            options.threads = threads;
+            expectSweepMatchesReference(request, trace, options,
+                                        std::string(label) + " threads=" +
+                                            std::to_string(threads));
+        }
+    }
 }
 
-TEST(NestedSweepTest, GshareConfigsNestPredicate)
+// The empty trace, traces shorter than any history register, packed
+// word-boundary straddlers and a count ending mid-word.
+TEST(NestedSweepTest, ShortAndMidWordTracesMatchReference)
 {
-    EXPECT_TRUE(gshareConfigsNest({}));
-
-    // The Figure-5 family nests: hb == min(log2, 16) throughout.
-    EXPECT_TRUE(gshareConfigsNest(figure5Request().gshare));
-
-    // A config whose history is capped by its own table size still
-    // nests against larger tables (min(hb, L) is what must agree).
-    GshareConfig small;
-    small.log2Entries = 8;
-    small.historyBits = 14;
-    GshareConfig large;
-    large.log2Entries = 14;
-    large.historyBits = 14;
-    EXPECT_TRUE(gshareConfigsNest({small, large}));
-
-    GshareConfig shallow;
-    shallow.log2Entries = 14;
-    shallow.historyBits = 6;
-    EXPECT_FALSE(gshareConfigsNest({shallow, large}));
+    for (size_t n : {size_t{0}, size_t{1}, size_t{5}, size_t{63},
+                     size_t{64}, size_t{65}, size_t{130}, size_t{12345}}) {
+        const BranchTrace trace = traceOfLength("gsm", n);
+        ASSERT_EQ(trace.size(), n);
+        for (unsigned threads : {1u, 3u}) {
+            NestedSweepOptions options;
+            options.threads = threads;
+            expectSweepMatchesReference(
+                figure5Request(), trace, options,
+                "n=" + std::to_string(n) +
+                    " threads=" + std::to_string(threads));
+        }
+    }
 }
 
-TEST(NestedSweepTest, EmptyFamiliesAndEmptyTrace)
+TEST(NestedSweepTest, EmptyRequestHasNoPoints)
 {
-    const BranchTrace trace =
-        makeBranchTrace("gs", WorkloadInput::Test, kBranches);
-    const PackedTrace packed(trace);
-
-    const NestedSweepResult none =
-        nestedSweep(NestedSweepRequest{}, packed);
+    const NestedSweepResult none = nestedSweep(
+        NestedSweepRequest{}, PackedTrace(traceOfLength("gs", kBranches)));
     EXPECT_TRUE(none.gshare.empty());
     EXPECT_TRUE(none.lgc.empty());
     EXPECT_EQ(none.stats.pointsPerPass, 0u);
+}
 
-    const PackedTrace empty{BranchTrace{}};
+TEST(NestedSweepTest, OversizedLgcThrowsLengthError)
+{
+    NestedSweepRequest request = figure5Request();
+    LgcConfig oversized;
+    oversized.log2Entries = 17;
+    request.lgc.push_back(oversized);
     NestedSweepOptions options;
     options.threads = 3;
-    options.shards = 7;
-    expectNestedMatchesKernels(figure5Request(), empty, options,
-                               "empty trace");
+    EXPECT_THROW(nestedSweep(request,
+                             PackedTrace(traceOfLength("gs", 1000)),
+                             AreaCosts{}, options),
+                 std::length_error);
 }
 
 } // anonymous namespace
