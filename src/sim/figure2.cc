@@ -29,8 +29,12 @@ runFigure2(const std::string &benchmark, const Fig2Options &options)
     Fig2Benchmark result;
     result.name = benchmark;
 
-    const ValueTrace own =
-        makeValueTrace(benchmark, options.loadsPerBenchmark);
+    // Every estimator sees only the stride predictor's verdicts, so the
+    // predictor runs once per trace and each configuration replays the
+    // recorded stream as a Moore table.
+    const ConfidenceStream own = recordConfidenceStream(
+        makeValueTrace(benchmark, options.loadsPerBenchmark),
+        options.stride);
 
     // --- SUD counter scatter -------------------------------------------
     for (int max : options.sudMax) {
@@ -42,12 +46,11 @@ runFigure2(const std::string &benchmark, const Fig2Options &options)
                 config.decrement = dec < 0 ? max + 1 : dec;
                 config.threshold =
                     std::max(1, static_cast<int>(frac * max + 0.5));
-                SudConfidence estimator(
-                    static_cast<size_t>(options.stride.entries), config);
-                const ConfidenceResult r =
-                    simulateConfidence(own, options.stride, estimator);
+                const std::string label = sudLabel(config);
+                const ConfidenceResult r = replayConfidence(
+                    own, FsmTable(sudCounterDfa(config)), label);
                 result.sudPoints.push_back(
-                    {r.accuracy(), r.coverage(), estimator.name()});
+                    {r.accuracy(), r.coverage(), label});
             }
         }
     }
@@ -63,12 +66,14 @@ runFigure2(const std::string &benchmark, const Fig2Options &options)
     for (const std::string &other : valueBenchmarkNames()) {
         if (other == benchmark)
             continue;
-        const ValueTrace trace =
-            makeValueTrace(other, options.loadsPerBenchmark);
         std::vector<MarkovModel *> pointers;
         for (auto &model : models)
             pointers.push_back(&model);
-        collectConfidenceModels(trace, options.stride, pointers);
+        collectConfidenceModels(
+            recordConfidenceStream(
+                makeValueTrace(other, options.loadsPerBenchmark),
+                options.stride),
+            pointers);
     }
 
     for (size_t i = 0; i < models.size(); ++i) {
@@ -82,11 +87,9 @@ runFigure2(const std::string &benchmark, const Fig2Options &options)
             design.patterns.dontCareMass = 0.01;
             const FsmDesignResult designed = designFsm(models[i], design);
 
-            FsmConfidence estimator(
-                static_cast<size_t>(options.stride.entries), designed.fsm,
+            const ConfidenceResult r = replayConfidence(
+                own, FsmTable(designed.fsm),
                 series.label + " thr=" + formatPct(threshold));
-            const ConfidenceResult r =
-                simulateConfidence(own, options.stride, estimator);
             series.points.push_back({r.accuracy(), r.coverage(),
                                      "thr=" + formatPct(threshold)});
         }

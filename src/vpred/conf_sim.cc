@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 #include "fsmgen/profile.hh"
 #include "obs/metrics.hh"
@@ -19,13 +20,13 @@ namespace
  * run so the per-load hot loop stays untouched.
  */
 void
-publishConfidenceRun(const ConfidenceEstimator &estimator,
+publishConfidenceRun(const std::string &estimator,
                      const ConfidenceResult &result)
 {
     obs::MetricsRegistry &registry = obs::globalMetrics();
     if (!registry.enabled())
         return;
-    const obs::Labels labels = {{"estimator", estimator.name()}};
+    const obs::Labels labels = {{"estimator", estimator}};
     registry
         .counter("autofsm_vpred_loads_total",
                  "Dynamic loads simulated by the confidence harness.",
@@ -47,6 +48,61 @@ publishConfidenceRun(const ConfidenceEstimator &estimator,
 
 } // anonymous namespace
 
+ConfidenceStream
+recordConfidenceStream(const ValueTrace &trace, ValuePredictor &predictor)
+{
+    // entry << 1 | 1 must fit 32 bits: entries up to 2^31.
+    if (predictor.entries() > (size_t{1} << 31))
+        throw std::invalid_argument(
+            "recordConfidenceStream: " + predictor.name() + " has " +
+            std::to_string(predictor.entries()) +
+            " entries, more than a 32-bit stream word can index");
+    ConfidenceStream stream;
+    stream.entries = predictor.entries();
+    stream.loads = trace.size();
+    stream.words.reserve(trace.size());
+    for (const auto &record : trace) {
+        const StrideOutcome outcome =
+            predictor.executeLoad(record.pc, record.value);
+        stream.correct += outcome.correct;
+        stream.words.push_back(static_cast<uint32_t>(outcome.entry << 1) |
+                               (outcome.correct ? 1U : 0U));
+    }
+    return stream;
+}
+
+ConfidenceStream
+recordConfidenceStream(const ValueTrace &trace, const StrideConfig &config)
+{
+    TwoDeltaStridePredictor predictor(config);
+    return recordConfidenceStream(trace, predictor);
+}
+
+ConfidenceResult
+replayConfidence(const ConfidenceStream &stream, const FsmTable &table,
+                 const std::string &label)
+{
+    std::vector<int> state(stream.entries, table.start());
+    uint64_t confident = 0;
+    uint64_t confident_correct = 0;
+    for (const uint32_t word : stream.words) {
+        const size_t entry = word >> 1;
+        const int correct = static_cast<int>(word & 1U);
+        const int marked = table.output(state[entry]);
+        confident += static_cast<uint64_t>(marked);
+        confident_correct += static_cast<uint64_t>(marked & correct);
+        state[entry] = table.next(state[entry], correct);
+    }
+
+    ConfidenceResult result;
+    result.loads = stream.loads;
+    result.correct = stream.correct;
+    result.confident = confident;
+    result.confidentCorrect = confident_correct;
+    publishConfidenceRun(label, result);
+    return result;
+}
+
 ConfidenceResult
 simulateConfidence(const ValueTrace &trace, ValuePredictor &predictor,
                    ConfidenceEstimator &estimator)
@@ -65,7 +121,7 @@ simulateConfidence(const ValueTrace &trace, ValuePredictor &predictor,
 
         estimator.update(entry, outcome.correct);
     }
-    publishConfidenceRun(estimator, result);
+    publishConfidenceRun(estimator.name(), result);
     return result;
 }
 
@@ -78,7 +134,7 @@ simulateConfidence(const ValueTrace &trace, const StrideConfig &config,
 }
 
 void
-collectConfidenceModels(const ValueTrace &trace, ValuePredictor &predictor,
+collectConfidenceModels(const ConfidenceStream &stream,
                         std::vector<MarkovModel *> models)
 {
     assert(!models.empty());
@@ -95,20 +151,18 @@ collectConfidenceModels(const ValueTrace &trace, ValuePredictor &predictor,
     // counter at the widest order absorbs every outcome; the per-order
     // tables are folded out at the end (fsmgen/profile.hh) instead of
     // updating every model inside the per-load loop.
-    std::vector<uint32_t> history(predictor.entries(), 0);
-    std::vector<int> pushes(predictor.entries(), 0);
+    std::vector<uint32_t> history(stream.entries, 0);
+    std::vector<int> pushes(stream.entries, 0);
     MultiOrderCounter counter(max_order);
 
-    for (const auto &record : trace) {
-        const StrideOutcome outcome =
-            predictor.executeLoad(record.pc, record.value);
-        const size_t entry = outcome.entry;
+    for (const uint32_t word : stream.words) {
+        const size_t entry = word >> 1;
+        const uint32_t correct = word & 1U;
 
         counter.observe(history[entry], pushes[entry],
-                        outcome.correct ? 1 : 0);
+                        static_cast<int>(correct));
 
-        history[entry] = ((history[entry] << 1) |
-                          (outcome.correct ? 1U : 0U)) &
+        history[entry] = ((history[entry] << 1) | correct) &
             lowMask(max_order);
         if (pushes[entry] < max_order)
             ++pushes[entry];
@@ -120,11 +174,19 @@ collectConfidenceModels(const ValueTrace &trace, ValuePredictor &predictor,
 }
 
 void
+collectConfidenceModels(const ValueTrace &trace, ValuePredictor &predictor,
+                        std::vector<MarkovModel *> models)
+{
+    collectConfidenceModels(recordConfidenceStream(trace, predictor),
+                            std::move(models));
+}
+
+void
 collectConfidenceModels(const ValueTrace &trace, const StrideConfig &config,
                         std::vector<MarkovModel *> models)
 {
-    TwoDeltaStridePredictor predictor(config);
-    collectConfidenceModels(trace, predictor, std::move(models));
+    collectConfidenceModels(recordConfidenceStream(trace, config),
+                            std::move(models));
 }
 
 } // namespace autofsm

@@ -7,6 +7,11 @@
  * (including resetting counters via a full decrement) and the
  * automatically designed FSM estimators, all instances of which share
  * one immutable transition table.
+ *
+ * A SUD counter is itself a Moore machine (sudCounterDfa), so both
+ * families can also run as FsmTables on one replay kernel
+ * (replayConfidence in vpred/conf_sim.hh); the estimator classes here
+ * are the per-load reference.
  */
 
 #ifndef AUTOFSM_VPRED_CONFIDENCE_HH
@@ -22,6 +27,21 @@
 
 namespace autofsm
 {
+
+/**
+ * The saturating up/down counter @p config as a Moore machine: state v
+ * is counter value v (0..max), its output is v >= threshold, input 1
+ * adds the increment and input 0 subtracts the decrement, both
+ * saturating; the start state is 0, like a fresh SudCounter.
+ *
+ * @throws std::invalid_argument unless 1 <= max < INT_MAX (the
+ *         max + 1 states are numbered by int), increment >= 1,
+ *         decrement >= 1 and 0 <= threshold <= max + 1.
+ */
+Dfa sudCounterDfa(const SudConfig &config);
+
+/** Report label of a SUD configuration, e.g. "sud(max=5,dec=1,thr=3)". */
+std::string sudLabel(const SudConfig &config);
 
 /** Per-entry confidence estimation interface. */
 class ConfidenceEstimator

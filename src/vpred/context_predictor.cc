@@ -1,22 +1,36 @@
 #include "vpred/context_predictor.hh"
 
-#include <cassert>
-
 #include "support/bits.hh"
 
 namespace autofsm
 {
 
+namespace
+{
+
+/** Second-level table size once the FCM order and log2Level2 are
+ *  checked (the first level is checked by checkedEntries). */
+size_t
+checkedLevel2Size(const FcmConfig &config)
+{
+    if (config.order < 1 || config.order > 3)
+        throw std::invalid_argument(
+            "FcmPredictor: order must be in 1..3, got " +
+            std::to_string(config.order));
+    if (config.log2Level2 < 4 || config.log2Level2 > 24)
+        throw std::invalid_argument(
+            "FcmPredictor: log2Level2 must be in 4..24, got " +
+            std::to_string(config.log2Level2));
+    return size_t{1} << config.log2Level2;
+}
+
+} // anonymous namespace
+
 FcmPredictor::FcmPredictor(const FcmConfig &config)
     : config_(config),
-      level1_(static_cast<size_t>(config.level1.entries)),
-      level2_(1ULL << config.log2Level2)
-{
-    assert(config.level1.entries > 0 &&
-           (config.level1.entries & (config.level1.entries - 1)) == 0);
-    assert(config.order >= 1 && config.order <= 3);
-    assert(config.log2Level2 >= 4 && config.log2Level2 <= 24);
-}
+      level1_(checkedEntries(config.level1, "FcmPredictor")),
+      level2_(checkedLevel2Size(config))
+{}
 
 size_t
 FcmPredictor::indexOf(uint64_t pc) const
@@ -36,7 +50,7 @@ FcmPredictor::tagOf(uint64_t pc) const
 {
     const int index_bits =
         ceilLog2(static_cast<uint32_t>(config_.level1.entries));
-    return (pc >> (2 + index_bits)) & lowMask(config_.level1.tagBits);
+    return (pc >> (2 + index_bits)) & tagMask(config_.level1.tagBits);
 }
 
 uint64_t

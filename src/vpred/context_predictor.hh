@@ -32,6 +32,9 @@ struct FcmConfig
 class FcmPredictor : public ValuePredictor
 {
   public:
+    /** @throws std::invalid_argument on a bad first-level geometry
+     *  (checkedEntries), an order outside 1..3 or a log2Level2
+     *  outside 4..24. */
     explicit FcmPredictor(const FcmConfig &config = {});
 
     StrideOutcome executeLoad(uint64_t pc, uint64_t value) override;

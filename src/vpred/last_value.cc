@@ -1,18 +1,13 @@
 #include "vpred/last_value.hh"
 
-#include <cassert>
-
 #include "support/bits.hh"
 
 namespace autofsm
 {
 
 LastValuePredictor::LastValuePredictor(const StrideConfig &config)
-    : config_(config), entries_(static_cast<size_t>(config.entries))
-{
-    assert(config.entries > 0 &&
-           (config.entries & (config.entries - 1)) == 0);
-}
+    : config_(config), entries_(checkedEntries(config, "LastValuePredictor"))
+{}
 
 size_t
 LastValuePredictor::indexOf(uint64_t pc) const
@@ -31,7 +26,7 @@ uint64_t
 LastValuePredictor::tagOf(uint64_t pc) const
 {
     const int index_bits = ceilLog2(static_cast<uint32_t>(config_.entries));
-    return (pc >> (2 + index_bits)) & lowMask(config_.tagBits);
+    return (pc >> (2 + index_bits)) & tagMask(config_.tagBits);
 }
 
 StrideOutcome

@@ -19,6 +19,8 @@ namespace autofsm
 class LastValuePredictor : public ValuePredictor
 {
   public:
+    /** @throws std::invalid_argument on a bad geometry
+     *  (checkedEntries). */
     explicit LastValuePredictor(const StrideConfig &config = {});
 
     StrideOutcome executeLoad(uint64_t pc, uint64_t value) override;

@@ -24,6 +24,8 @@ namespace autofsm
 class TwoDeltaStridePredictor : public ValuePredictor
 {
   public:
+    /** @throws std::invalid_argument on a bad geometry
+     *  (checkedEntries). */
     explicit TwoDeltaStridePredictor(const StrideConfig &config = {});
 
     /**

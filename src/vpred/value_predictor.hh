@@ -13,6 +13,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 
 namespace autofsm
@@ -27,6 +28,36 @@ struct StrideConfig
     int entries = 2048; ///< power-of-two table size
     int tagBits = 16;   ///< partial tag per entry
 };
+
+/**
+ * The table size of @p config once its geometry is checked; @p who
+ * names the predictor in the error. Called from the predictors'
+ * member initializers, so a bad geometry throws before any table is
+ * allocated.
+ *
+ * @throws std::invalid_argument unless entries is a power of two >= 1
+ *         and 0 <= tagBits < 64.
+ */
+inline size_t
+checkedEntries(const StrideConfig &config, const std::string &who)
+{
+    if (config.entries < 1 || (config.entries & (config.entries - 1)) != 0)
+        throw std::invalid_argument(
+            who + ": entries must be a power of two >= 1, got " +
+            std::to_string(config.entries));
+    if (config.tagBits < 0 || config.tagBits >= 64)
+        throw std::invalid_argument(
+            who + ": tagBits must be in [0, 64), got " +
+            std::to_string(config.tagBits));
+    return static_cast<size_t>(config.entries);
+}
+
+/** All-ones mask of the low @p tagBits bits (0 <= tagBits < 64). */
+inline uint64_t
+tagMask(int tagBits)
+{
+    return (uint64_t{1} << tagBits) - 1;
+}
 
 /** Result of one load execution through a value predictor. */
 struct StrideOutcome

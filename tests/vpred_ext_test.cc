@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "vpred/conf_sim.hh"
 #include "vpred/context_predictor.hh"
 #include "vpred/hybrid_predictor.hh"
@@ -40,6 +42,36 @@ TEST(LastValueTest, InterfaceBasics)
     EXPECT_EQ(predictor.entries(), 2048u);
     EXPECT_EQ(predictor.name(), "last-value2048");
     EXPECT_LT(predictor.indexOf(0xABCD), predictor.entries());
+}
+
+TEST(LastValueTest, RejectsBadGeometry)
+{
+    for (const StrideConfig config :
+         {StrideConfig{0, 16}, StrideConfig{-8, 16}, StrideConfig{6, 16},
+          StrideConfig{2048, -1}, StrideConfig{2048, 64}}) {
+        EXPECT_THROW(LastValuePredictor{config}, std::invalid_argument)
+            << config.entries << "/" << config.tagBits;
+    }
+    EXPECT_EQ(LastValuePredictor(StrideConfig{1, 0}).entries(), 1u);
+}
+
+TEST(FcmTest, RejectsBadGeometry)
+{
+    const std::vector<FcmConfig> invalid = {
+        {{0, 16}, 16, 2},    {{1000, 16}, 16, 2}, {{2048, 64}, 16, 2},
+        {{2048, 16}, 3, 2},  {{2048, 16}, 25, 2}, {{2048, 16}, 16, 0},
+        {{2048, 16}, 16, 4}, {{2048, -2}, 16, 2},
+    };
+    for (const FcmConfig &config : invalid) {
+        EXPECT_THROW(FcmPredictor{config}, std::invalid_argument)
+            << config.level1.entries << "/" << config.level1.tagBits << "/"
+            << config.log2Level2 << "/" << config.order;
+    }
+    EXPECT_EQ(FcmPredictor(FcmConfig{{1, 0}, 4, 1}).entries(), 1u);
+    // The hybrid checks its components' geometry the same way.
+    HybridConfig hybrid;
+    hybrid.stride.entries = 0;
+    EXPECT_THROW(HybridPredictor{hybrid}, std::invalid_argument);
 }
 
 TEST(FcmTest, LearnsRepeatingNonArithmeticCycle)
