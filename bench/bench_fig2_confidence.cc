@@ -14,7 +14,6 @@
 
 #include "sim/figure2.hh"
 #include "sim/report.hh"
-#include "workloads/value_workloads.hh"
 
 #include "bench_common.hh"
 
@@ -59,8 +58,8 @@ main(int argc, char **argv)
               << "loads per benchmark: " << options.loadsPerBenchmark
               << ", cross-trained (leave-one-out)\n\n";
 
-    for (const std::string &name : valueBenchmarkNames()) {
-        const Fig2Benchmark result = runFigure2(name, options);
+    for (const Fig2Benchmark &result : runFigure2All(options)) {
+        const std::string &name = result.name;
         printFig2(std::cout, result);
 
         std::cout << std::fixed << std::setprecision(1);

@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "automata/dfa.hh"
-#include "automata/nfa.hh"
 #include "automata/regex.hh"
 #include "logicmin/minimize.hh"
 #include "synth/area.hh"
@@ -77,9 +76,8 @@ main(int argc, char **argv)
     const Cover cover = minimize(table);
 
     const Regex regex = regexFromCover(cover);
-    const Dfa fsm = Dfa::fromNfa(Nfa::fromRegex(regex))
-                        .minimizeHopcroft()
-                        .steadyStateReduce();
+    const Dfa fsm =
+        Dfa::fromCover(cover).minimizeHopcroft().steadyStateReduce();
 
     const AreaEstimate area = estimateFsmArea(fsm);
     std::cout << "minimized patterns: " << cover.toString() << "\n";

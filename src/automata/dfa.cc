@@ -423,6 +423,168 @@ Dfa::fromNfa(const Nfa &nfa, int max_states)
     return dfa;
 }
 
+namespace
+{
+
+/**
+ * Set-of-positions interning for Dfa::fromCover. Every subset is
+ * `words` 64-bit words in one flat arena, state s at [s*words,
+ * (s+1)*words); an open-addressing table of state indices finds a
+ * subset's number without allocating a key per lookup.
+ */
+class PositionSets
+{
+  public:
+    explicit PositionSets(size_t words) : words_(words), slots_(64, -1) {}
+
+    const uint64_t *
+    at(int state) const
+    {
+        return arena_.data() + static_cast<size_t>(state) * words_;
+    }
+
+    /** Index of @p set, or -1 after appending it as the next state. */
+    int
+    findOrAdd(const uint64_t *set)
+    {
+        const uint64_t h = hash(set);
+        size_t slot = slotOf(h);
+        for (; slots_[slot] >= 0; slot = (slot + 1) & (slots_.size() - 1)) {
+            const int s = slots_[slot];
+            if (hashes_[static_cast<size_t>(s)] == h &&
+                std::equal(set, set + words_, at(s))) {
+                return s;
+            }
+        }
+        slots_[slot] = static_cast<int>(hashes_.size());
+        hashes_.push_back(h);
+        arena_.insert(arena_.end(), set, set + words_);
+        if (hashes_.size() * 2 > slots_.size())
+            grow();
+        return -1;
+    }
+
+  private:
+    uint64_t
+    hash(const uint64_t *set) const
+    {
+        uint64_t h = 0x9e3779b97f4a7c15ULL;
+        for (size_t w = 0; w < words_; ++w) {
+            h = (h ^ set[w]) * 0xff51afd7ed558ccdULL;
+            h ^= h >> 32;
+        }
+        return h;
+    }
+
+    size_t slotOf(uint64_t h) const { return h & (slots_.size() - 1); }
+
+    void
+    grow()
+    {
+        slots_.assign(slots_.size() * 2, -1);
+        for (size_t s = 0; s < hashes_.size(); ++s) {
+            size_t slot = slotOf(hashes_[s]);
+            while (slots_[slot] >= 0)
+                slot = (slot + 1) & (slots_.size() - 1);
+            slots_[slot] = static_cast<int>(s);
+        }
+    }
+
+    size_t words_;
+    std::vector<uint64_t> arena_;
+    std::vector<uint64_t> hashes_;
+    std::vector<int> slots_;
+};
+
+} // anonymous namespace
+
+Dfa
+Dfa::fromCover(const Cover &cover, int max_states)
+{
+    assert(!cover.empty());
+    const int n = cover.numVars();
+
+    // Positions of (0|1)*·(c1|...|ck): position 0 is the (0|1)* symbol,
+    // then each cube's n symbols, oldest history bit first, as
+    // regexFromCover spells them.
+    const size_t positions = 1 + static_cast<size_t>(n) * cover.size();
+    const size_t words = (positions + 63) / 64;
+    auto setBit = [](std::vector<uint64_t> &bits, size_t p) {
+        bits[p / 64] |= uint64_t{1} << (p % 64);
+    };
+    std::vector<uint64_t> match[2] = {std::vector<uint64_t>(words),
+                                      std::vector<uint64_t>(words)};
+    // enter: position 0 and every cube's first position, the positions
+    // that follow position 0.
+    std::vector<uint64_t> enter(words), lasts(words);
+    setBit(match[0], 0);
+    setBit(match[1], 0);
+    setBit(enter, 0);
+    size_t p = 1;
+    for (const Cube &cube : cover.cubes()) {
+        for (int bit = n - 1; bit >= 0; --bit, ++p) {
+            if (!bitOf(cube.mask, bit) || !bitOf(cube.value, bit))
+                setBit(match[0], p);
+            if (!bitOf(cube.mask, bit) || bitOf(cube.value, bit))
+                setBit(match[1], p);
+            if (bit == n - 1)
+                setBit(enter, p);
+            if (bit == 0)
+                setBit(lasts, p);
+        }
+    }
+    // With n == 0 every cube is the empty word: every string matches.
+    const bool nullable = n == 0;
+
+    // State 0 is the empty set (nothing read yet); every successor holds
+    // position 0, which matches both symbols, so no other state is empty
+    // and no sink is needed.
+    PositionSets sets(words);
+    std::vector<uint64_t> current(words), target(words);
+    Dfa dfa;
+    auto mint = [&](const uint64_t *bits) {
+        bool out = nullable;
+        for (size_t w = 0; w < words && !out; ++w)
+            out = (bits[w] & lasts[w]) != 0;
+        dfa.addState(out ? 1 : 0);
+        if (max_states > 0 && dfa.numStates() > max_states) {
+            throw FlowError("subset", ErrorKind::BudgetExceeded,
+                            "subset construction minted more than " +
+                                std::to_string(max_states) + " states");
+        }
+    };
+    sets.findOrAdd(current.data());
+    mint(current.data());
+
+    // States are numbered in discovery order and expanded in that order,
+    // symbol 0 before 1: the BFS of fromNfa.
+    for (int from = 0; from < dfa.numStates(); ++from) {
+        const uint64_t *state = sets.at(from);
+        std::copy(state, state + words, current.begin());
+        for (int symbol = 0; symbol < 2; ++symbol) {
+            // Each live cube position moves on to the next one. Every
+            // state is initial or holds position 0, so position 0 and
+            // every cube's first position are always entered; that also
+            // overwrites the bit a cube's last position shifts into the
+            // next cube's first.
+            uint64_t carry = 0;
+            for (size_t w = 0; w < words; ++w) {
+                const uint64_t bits = (current[w] << 1) | carry | enter[w];
+                carry = current[w] >> 63;
+                target[w] = bits & match[symbol][w];
+            }
+            int to = sets.findOrAdd(target.data());
+            if (to < 0) {
+                to = dfa.numStates();
+                mint(target.data());
+            }
+            dfa.setEdge(from, symbol, to);
+        }
+    }
+    dfa.setStart(0);
+    return dfa;
+}
+
 Dfa
 Dfa::constant(int output)
 {

@@ -4,9 +4,10 @@
  *
  * This is the Moore-machine form the paper's predictors take: the state's
  * output is the prediction of the next input bit. Provides subset
- * construction (Section 4.6), Hopcroft minimization, the paper's
- * start-state reduction (Section 4.7), reachability trimming, equivalence
- * checking and Graphviz output.
+ * construction (Section 4.6) both straight from a cover, on its position
+ * automaton, and over a Thompson NFA (the reference), Hopcroft
+ * minimization, the paper's start-state reduction (Section 4.7),
+ * reachability trimming, equivalence checking and Graphviz output.
  */
 
 #ifndef AUTOFSM_AUTOMATA_DFA_HH
@@ -18,6 +19,7 @@
 #include <vector>
 
 #include "automata/nfa.hh"
+#include "logicmin/cover.hh"
 
 namespace autofsm
 {
@@ -100,6 +102,24 @@ class Dfa
      *        FlowError{"subset", BudgetExceeded} (flow/budget.hh).
      */
     static Dfa fromNfa(const Nfa &nfa, int max_states = 0);
+
+    /**
+     * The subset DFA of the predictor language `(0|1)*·(c1|...|ck)` of
+     * the non-empty @p cover (Section 4.5), built without an NFA: a
+     * bit-parallel subset construction on the language's position
+     * (Glushkov) automaton, in the manner of Shift-And. A state is the
+     * set of live positions; it outputs 1 when a cube's last position
+     * is live.
+     *
+     * The result is identical() to
+     * `fromNfa(Nfa::fromRegex(regexFromCover(cover)), max_states)`: the
+     * same states, numbered in the same BFS order, and the same budget
+     * trip (DESIGN.md §17).
+     *
+     * @param max_states Budget on DFA states minted (0 = unlimited),
+     *        checked inside the loop exactly as in fromNfa.
+     */
+    static Dfa fromCover(const Cover &cover, int max_states = 0);
 
     /**
      * The trivial one-state machine with constant @p output, used when a

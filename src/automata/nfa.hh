@@ -5,6 +5,10 @@
  * Section 4.6: the regular expression is first turned into an NFA by
  * "a fairly straight forward process of enumerating paths", i.e.
  * Thompson's construction, and then determinized by subset construction.
+ *
+ * This is the reference path, not the design flow's. The flow builds
+ * the same subset DFA straight from the cover (Dfa::fromCover), and the
+ * tests hold it to `Dfa::fromNfa(Nfa::fromRegex(regexFromCover(c)))`.
  */
 
 #ifndef AUTOFSM_AUTOMATA_NFA_HH

@@ -1,5 +1,6 @@
 #include "automata/regex.hh"
 
+#include <algorithm>
 #include <cassert>
 
 namespace autofsm
@@ -98,6 +99,17 @@ regexFromCover(const Cover &cover)
     const int prefix = regex.star(regex.anySym());
     regex.setRoot(regex.concat(prefix, terms));
     return regex;
+}
+
+int64_t
+thompsonStateCount(const Cover &cover)
+{
+    if (cover.empty())
+        return 0;
+    // A term of n == 0 symbols is one epsilon fragment (two states).
+    const int64_t per_term = 2 * std::max(cover.numVars(), 1);
+    const auto k = static_cast<int64_t>(cover.size());
+    return per_term * k + 2 * (k - 1) + 4;
 }
 
 } // namespace autofsm

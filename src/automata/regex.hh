@@ -13,6 +13,7 @@
 #ifndef AUTOFSM_AUTOMATA_REGEX_HH
 #define AUTOFSM_AUTOMATA_REGEX_HH
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -95,6 +96,15 @@ class Regex
  * callers special-case it.
  */
 Regex regexFromCover(const Cover &cover);
+
+/**
+ * The number of states `Nfa::fromRegex(regexFromCover(cover))` mints,
+ * in closed form: two per symbol, two per alternation and four for the
+ * `(0|1)*` prefix, i.e. `2·N·k + 2k + 2` for k cubes over N inputs
+ * (0 for an empty cover). Lets the design flow hold a cover to the NFA
+ * state budget without building the NFA.
+ */
+int64_t thompsonStateCount(const Cover &cover);
 
 } // namespace autofsm
 

@@ -106,7 +106,8 @@ struct FlowBudget
 {
     /** Wall-clock deadline for the whole run, milliseconds. */
     double deadlineMillis = 0.0;
-    /** Max Thompson NFA states entering subset construction. */
+    /** Max states of the cover's Thompson NFA (thompsonStateCount,
+     *  closed form: the flow builds the DFA without an NFA). */
     int maxNfaStates = 0;
     /** Max DFA states minted during subset construction (checked inside
      *  the construction loop, so an exploding subset stops early). */

@@ -356,7 +356,7 @@ DesignFlow::runStages(const MarkovModel &model, FlowTrace trace,
     if (result.cover.empty()) {
         // Nothing to predict 1 on: the constant machine. (Hopcroft would
         // reduce the general pipeline to this anyway; short-circuiting
-        // avoids building an NFA for the empty language.) The automata
+        // avoids a subset construction for the empty language.) The automata
         // stages are still recorded so every FlowTrace has the same
         // shape and the state counts stay inspectable.
         result.regexText = "(empty)";
@@ -373,13 +373,11 @@ DesignFlow::runStages(const MarkovModel &model, FlowTrace trace,
     }
 
     try {
-        std::optional<Regex> regex;
         {
             deadline.check("regex");
             obs::SpanScope span(tracer, "flow.regex");
             AUTOFSM_FAILPOINT("flow.regex");
-            regex = regexFromCover(result.cover);
-            result.regexText = regex->toString();
+            result.regexText = regexFromCover(result.cover).toString();
             recordStage(out.trace, FlowStage::Regex, span,
                         static_cast<int64_t>(result.cover.size()),
                         "terms");
@@ -389,17 +387,18 @@ DesignFlow::runStages(const MarkovModel &model, FlowTrace trace,
             deadline.check("subset");
             obs::SpanScope span(tracer, "flow.subset");
             AUTOFSM_FAILPOINT("flow.subset");
-            const Nfa nfa = Nfa::fromRegex(*regex);
+            // The NFA budget keeps its Thompson meaning; the count is
+            // closed-form, so no NFA is built to check it.
+            const int64_t nfa_states = thompsonStateCount(result.cover);
             if (options_.budget.maxNfaStates > 0 &&
-                nfa.numStates() > options_.budget.maxNfaStates) {
+                nfa_states > options_.budget.maxNfaStates) {
                 throw FlowError(
                     "subset", ErrorKind::BudgetExceeded,
-                    std::to_string(nfa.numStates()) +
-                        " NFA states > budget " +
+                    std::to_string(nfa_states) + " NFA states > budget " +
                         std::to_string(options_.budget.maxNfaStates));
             }
             result.beforeReduction =
-                Dfa::fromNfa(nfa, options_.budget.maxDfaStates);
+                Dfa::fromCover(result.cover, options_.budget.maxDfaStates);
             result.statesSubset = result.beforeReduction.numStates();
             recordStage(out.trace, FlowStage::Subset, span,
                         result.statesSubset, "states");

@@ -5,7 +5,7 @@
  * `DesignFlow` runs the same pipeline as the legacy `designFsm` free
  * function (which is now a thin wrapper over it), but decomposes it into
  * named, individually observable stages: markov (when starting from a raw
- * trace), patterns, minimize, regex, subset construction (nfa->dfa),
+ * trace), patterns, minimize, regex, subset construction (cover->dfa),
  * Hopcroft and start-state reduction. Each run yields the usual
  * `FsmDesignResult` plus a `FlowTrace` carrying per-stage wall-clock time
  * and a stage-specific size metric, so benches and the batch designer can
@@ -35,7 +35,8 @@ enum class FlowStage
     Patterns,    ///< partition histories into 1 / 0 / don't-care sets
     Minimize,    ///< two-level logic minimization of the predict-1 set
     Regex,       ///< cover -> (0|1)*(t1|...|tk) regular expression
-    Subset,      ///< Thompson NFA + subset construction (nfa->dfa)
+    Subset,      ///< cover -> subset DFA on its position automaton
+                 ///< (Dfa::fromCover; no NFA is built)
     Hopcroft,    ///< DFA minimization
     StartReduce, ///< start-state (transient start-up) reduction
 };

@@ -3,7 +3,7 @@
  * The end-to-end automated FSM predictor design flow (Section 4).
  *
  * trace -> Markov model -> pattern sets -> minimized cover -> regular
- * expression -> NFA -> DFA -> Hopcroft minimization -> start-state
+ * expression -> subset DFA -> Hopcroft minimization -> start-state
  * reduction. The result carries the artifacts of every stage so examples,
  * benches and tests can inspect intermediate products (e.g. Figure 1
  * shows the machine both before and after start-state reduction).
@@ -61,7 +61,7 @@ struct FsmDesignOptions
     bool flatProfiling = true;
     /**
      * Consult the process-wide design-stage memo (flow/design_memo.hh)
-     * that shares the minimize->regex->NFA->DFA->reduce tail across
+     * that shares the minimize->regex->DFA->reduce tail across
      * items with identical pattern partitions. Hits return bit-identical
      * artifacts; the memo is bypassed automatically when the budget is
      * finite or a failpoint is armed.

@@ -21,20 +21,18 @@ formatPct(double frac)
     return out.str();
 }
 
-} // anonymous namespace
-
+/**
+ * One Figure 2 panel over recorded streams: @p own is the reported
+ * benchmark's, @p others every other benchmark's, in
+ * valueBenchmarkNames() order.
+ */
 Fig2Benchmark
-runFigure2(const std::string &benchmark, const Fig2Options &options)
+figure2Panel(const std::string &benchmark, const ConfidenceStream &own,
+             const std::vector<const ConfidenceStream *> &others,
+             const Fig2Options &options)
 {
     Fig2Benchmark result;
     result.name = benchmark;
-
-    // Every estimator sees only the stride predictor's verdicts, so the
-    // predictor runs once per trace and each configuration replays the
-    // recorded stream as a Moore table.
-    const ConfidenceStream own = recordConfidenceStream(
-        makeValueTrace(benchmark, options.loadsPerBenchmark),
-        options.stride);
 
     // --- SUD counter scatter -------------------------------------------
     for (int max : options.sudMax) {
@@ -62,19 +60,11 @@ runFigure2(const std::string &benchmark, const Fig2Options &options)
     models.reserve(options.histories.size());
     for (int order : options.histories)
         models.emplace_back(order);
-
-    for (const std::string &other : valueBenchmarkNames()) {
-        if (other == benchmark)
-            continue;
-        std::vector<MarkovModel *> pointers;
-        for (auto &model : models)
-            pointers.push_back(&model);
-        collectConfidenceModels(
-            recordConfidenceStream(
-                makeValueTrace(other, options.loadsPerBenchmark),
-                options.stride),
-            pointers);
-    }
+    std::vector<MarkovModel *> pointers;
+    for (auto &model : models)
+        pointers.push_back(&model);
+    for (const ConfidenceStream *other : others)
+        collectConfidenceModels(*other, pointers);
 
     for (size_t i = 0; i < models.size(); ++i) {
         ParetoSeries series;
@@ -98,12 +88,54 @@ runFigure2(const std::string &benchmark, const Fig2Options &options)
     return result;
 }
 
+/** The stride predictor's verdicts over @p benchmark's value trace. */
+ConfidenceStream
+recordBenchmark(const std::string &benchmark, const Fig2Options &options)
+{
+    return recordConfidenceStream(
+        makeValueTrace(benchmark, options.loadsPerBenchmark),
+        options.stride);
+}
+
+} // anonymous namespace
+
+Fig2Benchmark
+runFigure2(const std::string &benchmark, const Fig2Options &options)
+{
+    // Every estimator sees only the stride predictor's verdicts, so the
+    // predictor runs once per trace and each configuration replays the
+    // recorded stream as a Moore table.
+    const ConfidenceStream own = recordBenchmark(benchmark, options);
+    std::vector<ConfidenceStream> recorded;
+    for (const std::string &other : valueBenchmarkNames()) {
+        if (other != benchmark)
+            recorded.push_back(recordBenchmark(other, options));
+    }
+    std::vector<const ConfidenceStream *> others;
+    for (const ConfidenceStream &stream : recorded)
+        others.push_back(&stream);
+    return figure2Panel(benchmark, own, others, options);
+}
+
 std::vector<Fig2Benchmark>
 runFigure2All(const Fig2Options &options)
 {
+    // Each benchmark's stream serves as its own panel's and as training
+    // data for the four other panels, so record each one once.
+    const std::vector<std::string> &names = valueBenchmarkNames();
+    std::vector<ConfidenceStream> streams;
+    for (const std::string &name : names)
+        streams.push_back(recordBenchmark(name, options));
+
     std::vector<Fig2Benchmark> all;
-    for (const std::string &name : valueBenchmarkNames())
-        all.push_back(runFigure2(name, options));
+    for (size_t i = 0; i < names.size(); ++i) {
+        std::vector<const ConfidenceStream *> others;
+        for (size_t j = 0; j < names.size(); ++j) {
+            if (j != i)
+                others.push_back(&streams[j]);
+        }
+        all.push_back(figure2Panel(names[i], streams[i], others, options));
+    }
     return all;
 }
 

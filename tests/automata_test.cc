@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the automata substrate: regex building, Thompson NFA, subset
- * construction, Hopcroft minimization and start-state reduction.
+ * construction (over the NFA, and straight from a cover against that
+ * reference), Hopcroft minimization and start-state reduction.
  */
 
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include "automata/dfa.hh"
 #include "automata/nfa.hh"
 #include "automata/regex.hh"
+#include "flow/budget.hh"
 #include "support/rng.hh"
 
 namespace autofsm
@@ -89,6 +91,141 @@ TEST(DfaTest, SubsetConstructionMatchesNfa)
         for (const auto &s : allStrings(len))
             EXPECT_EQ(dfa.predictAfter(s) == 1, nfa.accepts(s));
     }
+}
+
+/**
+ * A seeded random cover over @p n inputs with 1..@p max_cubes cubes,
+ * mixing arbitrary cubes with full minterms, all-don't-care cubes and
+ * duplicates of earlier cubes.
+ */
+Cover
+randomCover(Rng &rng, int n, int max_cubes)
+{
+    Cover cover(n);
+    const int k = 1 + static_cast<int>(rng.below(
+                          static_cast<uint64_t>(max_cubes)));
+    for (int i = 0; i < k; ++i) {
+        const uint32_t value = static_cast<uint32_t>(rng.next());
+        switch (rng.below(8)) {
+          case 0:
+            cover.add(Cube(0, 0));
+            break;
+          case 1:
+            cover.add(Cube::minterm(value, n));
+            break;
+          case 2:
+            if (!cover.empty()) {
+                cover.add(cover.cubes()[rng.below(cover.size())]);
+                break;
+            }
+            [[fallthrough]];
+          default:
+            cover.add(Cube(value, static_cast<uint32_t>(rng.next()) &
+                                      lowMask(n)));
+            break;
+        }
+    }
+    return cover;
+}
+
+/** The Thompson-NFA reference of Dfa::fromCover. */
+Dfa
+thompsonDfa(const Cover &cover, int max_states = 0)
+{
+    return Dfa::fromNfa(Nfa::fromRegex(regexFromCover(cover)), max_states);
+}
+
+TEST(DfaTest, FromCoverIdenticalToThompson)
+{
+    Rng rng(20011);
+    for (int trial = 0; trial < 150; ++trial) {
+        const int n = 1 + static_cast<int>(rng.below(12));
+        const Cover cover = randomCover(rng, n, 60);
+        ASSERT_TRUE(Dfa::fromCover(cover).identical(thompsonDfa(cover)))
+            << "trial " << trial << ": " << cover.toString();
+    }
+    EXPECT_TRUE(Dfa::fromCover(paperCover()).identical(
+        thompsonDfa(paperCover())));
+}
+
+TEST(DfaTest, FromCoverSpansWordBoundaries)
+{
+    // Distinct 6-input minterms, so every cube shapes the language. With
+    // 1 + 6k positions, cubes 10, 21 and 31 have an inner position pair
+    // that straddles bits 63/64, 127/128 and 191/192.
+    Rng rng(64);
+    std::vector<uint32_t> minterms(64);
+    for (uint32_t m = 0; m < 64; ++m)
+        minterms[m] = m;
+    for (size_t i = minterms.size() - 1; i > 0; --i)
+        std::swap(minterms[i], minterms[rng.below(i + 1)]);
+    for (int k : {10, 11, 21, 22, 31, 32, 40}) {
+        Cover cover(6);
+        for (int i = 0; i < k; ++i)
+            cover.add(Cube::minterm(minterms[static_cast<size_t>(i)], 6));
+        EXPECT_TRUE(Dfa::fromCover(cover).identical(thompsonDfa(cover)))
+            << "k=" << k;
+    }
+}
+
+TEST(DfaTest, FromCoverZeroInputCover)
+{
+    // Every cube is the empty word, so every string is in the language.
+    Cover cover(0);
+    cover.add(Cube(0, 0));
+    cover.add(Cube(0, 0));
+    const Dfa dfa = Dfa::fromCover(cover);
+    EXPECT_TRUE(dfa.identical(thompsonDfa(cover)));
+    EXPECT_EQ(dfa.predictAfter({}), 1);
+}
+
+TEST(DfaTest, FromCoverBudgetMatchesThompson)
+{
+    Rng rng(4242);
+    for (int trial = 0; trial < 25; ++trial) {
+        const int n = 1 + static_cast<int>(rng.below(12));
+        const Cover cover = randomCover(rng, n, 60);
+        const int states = Dfa::fromCover(cover).numStates();
+        ASSERT_GE(states, 2);
+
+        std::string direct, reference;
+        try {
+            Dfa::fromCover(cover, states - 1);
+        } catch (const FlowError &e) {
+            EXPECT_EQ(e.stage(), "subset");
+            EXPECT_EQ(e.kind(), ErrorKind::BudgetExceeded);
+            direct = e.what();
+        }
+        try {
+            thompsonDfa(cover, states - 1);
+        } catch (const FlowError &e) {
+            reference = e.what();
+        }
+        EXPECT_FALSE(direct.empty()) << "trial " << trial;
+        EXPECT_EQ(direct, reference) << "trial " << trial;
+
+        EXPECT_NO_THROW(Dfa::fromCover(cover, states));
+        EXPECT_NO_THROW(thompsonDfa(cover, states));
+    }
+}
+
+TEST(RegexTest, ThompsonStateCountIsClosedForm)
+{
+    Rng rng(77);
+    for (int trial = 0; trial < 200; ++trial) {
+        const int n = 1 + static_cast<int>(rng.below(12));
+        const Cover cover = randomCover(rng, n, 60);
+        EXPECT_EQ(thompsonStateCount(cover),
+                  Nfa::fromRegex(regexFromCover(cover)).numStates());
+        EXPECT_EQ(thompsonStateCount(cover),
+                  2 * n * static_cast<int64_t>(cover.size()) +
+                      2 * static_cast<int64_t>(cover.size()) + 2);
+    }
+    Cover zero_inputs(0);
+    zero_inputs.add(Cube(0, 0));
+    EXPECT_EQ(thompsonStateCount(zero_inputs),
+              Nfa::fromRegex(regexFromCover(zero_inputs)).numStates());
+    EXPECT_EQ(thompsonStateCount(Cover(4)), 0);
 }
 
 TEST(DfaTest, HopcroftPreservesBehavior)
@@ -219,9 +356,8 @@ TEST_P(PipelinePropertyTest, FinalMachineMatchesCoverOnSuffixes)
     if (on_count == 0)
         cover.add(Cube::minterm(0, n));
 
-    const Dfa fsm = Dfa::fromNfa(Nfa::fromRegex(regexFromCover(cover)))
-                        .minimizeHopcroft()
-                        .steadyStateReduce();
+    const Dfa fsm =
+        Dfa::fromCover(cover).minimizeHopcroft().steadyStateReduce();
 
     for (int len = n; len <= n + 4; ++len) {
         for (const auto &s : allStrings(len)) {
